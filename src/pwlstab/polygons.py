@@ -32,8 +32,10 @@ EPS_GEOM = 1e-9
 ANGLE_TOL = 1e-12
 
 # A candidate positive Birkhoff sum this small is treated as zero when the
-# periodic-orbit scan looks for instability witnesses.
+# periodic orbits are searched for instability witnesses.
 LAMBDA_POS_TOL = 1e-9
+# Longest period searched for an instability witness.
+WITNESS_P_MAX = 8
 
 
 def _cross(ax: float, ay: float, bx: float, by: float) -> float:
@@ -560,7 +562,9 @@ def stability_iteration(
         raise ValueError("k_max must be at least 1")
 
     witnesses = [
-        o for o in periodic_orbits_G(params, p_max=6) if o.lambda_value > LAMBDA_POS_TOL
+        o
+        for o in periodic_orbits_G(params, p_max=WITNESS_P_MAX)
+        if o.lambda_value > LAMBDA_POS_TOL
     ]
     if witnesses:
         worst = max(witnesses, key=lambda o: o.lambda_value)
@@ -643,12 +647,13 @@ def stability_iteration(
 def ga92(params: NormalForm2D, m_max: int = 30, k_max: int | None = None) -> Ga92Verdict:
     """Decide asymptotic stability of the origin by forward polygon images.
 
-    Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First scans
-    periodic ray orbits (period <= 6) for an instability witness; otherwise
-    iterates the seed triangle, accumulating the union and testing at each
-    generation whether the union maps into itself and, once it does, whether
-    some further iterate clears the segment from (1,0) to (0,1).  Both checks
-    passing certifies asymptotic stability; budgets exhausted means NotDecided.
+    Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
+    searches the periodic ray orbits of period <= WITNESS_P_MAX for an
+    instability witness; otherwise iterates the seed triangle, accumulating
+    the union and testing at each generation whether the union maps into
+    itself and, once it does, whether some further iterate clears the
+    segment from (1,0) to (0,1).  Both checks passing certifies asymptotic
+    stability; budgets exhausted means NotDecided.
     """
     return stability_iteration(params, StarPolygon.unit_triangle(), m_max, k_max)
 

@@ -17,7 +17,6 @@ bookkeeping out of the formulas.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from .maps import NormalForm2D, ORBIT_BUDGET, CONV_RADIUS, DIV_RADIUS, PWLMap, e
 HALF_PI = math.pi / 2.0
 
 EPS_ANGLE = 1e-9
-BISECT_TOL = 1e-12
 DEFAULT_BURN_IN = 1_000
 DEFAULT_ITERS = 1_000_000
 
@@ -504,170 +502,108 @@ def _g_scalar(tl: float, dl: float, tr: float, dr: float, th: float) -> float:
     return a
 
 
-def _d_scalar(tl: float, dl: float, tr: float, dr: float, th: float) -> float:
-    c = math.cos(th)
-    s = math.sin(th)
-    if th <= HALF_PI:
-        return math.hypot(tr * c + s, -dr * c)
-    return math.hypot(tl * c + s, -dl * c)
+def _lyndon_words(n_max: int):
+    """Binary Lyndon words of length 1..n_max by Duval's algorithm; 0 = L, 1 = R."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        m = len(w)
+        while len(w) < n_max:
+            w.append(w[len(w) - m])
+        while w and w[-1] == 1:
+            w.pop()
 
 
-def _branch_preimages(params: NormalForm2D, phi: float) -> list[float]:
-    """All theta in [0, pi) with G(theta) = phi, via per-branch inversion.
+def _word_product(sides, word) -> tuple[float, float, float, float]:
+    """Columns (ax, ay, bx, by) of the side-matrix product along ``word``:
+    the images of e1 and e2 under the word's matrices, applied in order."""
+    ax, ay, bx, by = 1.0, 0.0, 0.0, 1.0
+    for s in word:
+        tau, delta = sides[s]
+        ax, ay = tau * ax + ay, -delta * ax
+        bx, by = tau * bx + by, -delta * bx
+    return ax, ay, bx, by
 
-    In the tangent coordinate s = tan(theta) each branch is the Moebius map
-    s -> -delta/(tau + s), inverted by s = -delta/tan(phi) - tau; validity is
-    just the sign of s (right branch needs s >= 0, left s < 0).
+
+def _eigenray(prod, mu: float) -> tuple[float, float] | None:
+    """Unit eigenvector of ``prod`` for eigenvalue mu in the upper half-plane.
+
+    None when the product is mu times the identity.
     """
-    if phi == 0.0:
-        return [HALF_PI]
-    out: list[float] = []
-    if abs(phi - HALF_PI) < 1e-15:
-        s_r = -params.tau_R
-        if s_r >= 0.0:
-            out.append(math.atan(s_r))
-        s_l = -params.tau_L
-        if s_l < 0.0:
-            out.append(math.atan(s_l) + math.pi)
-        return out
-    t = math.tan(phi)
-    s_r = -params.delta_R / t - params.tau_R
-    if s_r >= 0.0:
-        out.append(math.atan(s_r))
-    s_l = -params.delta_L / t - params.tau_L
-    if s_l < 0.0:
-        out.append(math.atan(s_l) + math.pi)
-    return out
+    ax, ay, bx, by = prod
+    # Orthogonal to the larger row of (prod - mu I).
+    r0 = math.hypot(ax - mu, bx)
+    r1 = math.hypot(ay, by - mu)
+    if max(r0, r1) <= 1e-12 * mu:
+        return None
+    vx, vy = (-bx, ax - mu) if r0 >= r1 else (mu - by, ay)
+    n = math.hypot(vx, vy)
+    if vy < 0.0 or (vy == 0.0 and vx < 0.0):
+        n = -n
+    return vx / n, vy / n
 
 
-def _dedupe_sorted(values: list[float], tol: float) -> list[float]:
-    values = sorted(values)
-    out: list[float] = []
-    for v in values:
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return out
-
-
-def _iterate_G(params: NormalForm2D, theta: float, k: int) -> float:
-    tl, dl, tr, dr = params.tau_L, params.delta_L, params.tau_R, params.delta_R
-    for _ in range(k):
-        theta = _g_scalar(tl, dl, tr, dr, theta)
-    return theta
+def _same_angles(a, b) -> bool:
+    return all(abs(x - y) <= EPS_ANGLE for x, y in zip(a, b))
 
 
 def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbit]:
-    """Find all periodic orbits of the circle map with period <= p_max.
+    """Find all isolated periodic orbits of the circle map with period <= p_max.
 
-    The p-fold map is smooth except where some intermediate iterate crosses
-    pi/2, so [0, pi) is partitioned at the preimages of pi/2 under G^j,
-    j < p.  Each cell is sign-scanned for roots of G^p(theta) - theta (the
-    p-fold map is monotone per cell, but its graph can still cross the
-    diagonal more than once when increasing) and roots are polished by
-    bisection.  Orbits are deduplicated across cyclic shifts, reported at
-    their minimal period, and cross-validated against the eigenvalue of the
-    matrix product along the itinerary; roots failing that check are dropped
-    with a warning.
+    A periodic ray orbit with itinerary w (the side, L or R, of each iterate)
+    is a positive real eigenvector of the product of side matrices along w
+    whose orbit lies on the sides w names.  The binary Lyndon words of
+    length <= p_max, one per cyclic class of itineraries, are enumerated.
+    Each iterate is the eigenvector of the product along the word rotated to
+    start there: following the orbit forward would amplify rounding along
+    orbits that repel on the circle.
+
+    A ray within EPS_ANGLE of the switching ray pi/2 may take either symbol,
+    so one orbit can match several words, and a word can trace an orbit of
+    smaller period; each orbit is reported once, at its minimal period.
+    Words whose product is a multiple of the identity are skipped: their
+    orbits form a continuum, not isolated orbits.
     """
     _require_sign_regime(params)
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-
-    orbits: dict[tuple[int, int], PeriodicOrbit] = {}
-    # Preimage levels: level[j] = {theta : G^j(theta) = pi/2}.
-    level = [HALF_PI]
-    breakpoints: list[float] = [HALF_PI]
-
-    for p in range(1, p_max + 1):
-        cells = _dedupe_sorted([0.0, math.pi] + breakpoints, 1e-13)
-        for a, b in zip(cells[:-1], cells[1:]):
-            if b - a < 1e-12:
+    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+    out: list[PeriodicOrbit] = []
+    for word in _lyndon_words(p_max):
+        p = len(word)
+        ax, ay, bx, by = _word_product(sides, word)
+        half_tr = 0.5 * (ax + by)
+        det = ax * by - bx * ay
+        disc = half_tr * half_tr - det
+        if disc < 0.0:
+            continue
+        # det is a product of nonzero deltas, so mu1 != 0; det / mu1 avoids
+        # cancellation in the smaller eigenvalue.
+        mu1 = half_tr + math.copysign(math.sqrt(disc), half_tr)
+        for mu in {mu1, det / mu1}:
+            if mu <= 0.0:
                 continue
-            _scan_cell(params, p, a, b, orbits)
-        for bp in list(breakpoints):
-            _try_root(params, p, bp, orbits)
-        # Extend breakpoints for the next period.
-        nxt: list[float] = []
-        for phi in level:
-            nxt.extend(_branch_preimages(params, phi))
-        level = _dedupe_sorted(nxt, 1e-13)
-        breakpoints = _dedupe_sorted(breakpoints + level, 1e-13)
-
-    out = list(orbits.values())
+            thetas: list[float] = []
+            d_vals: list[float] = []
+            for i, s in enumerate(word):
+                z = _eigenray(_word_product(sides, word[i:] + word[:i]), mu)
+                # z[0] is the cosine of the angle; both sides own the ray x = 0.
+                if z is None or ((z[0] > EPS_ANGLE) if s == 0 else (z[0] < -EPS_ANGLE)):
+                    break
+                a = math.atan2(z[1], z[0])
+                thetas.append(a if a > 0.0 else 0.0)
+                tau, delta = sides[s]
+                d_vals.append(math.hypot(tau * z[0] + z[1], delta * z[0]))
+            else:
+                start = thetas.index(min(thetas))
+                orbit = tuple(thetas[start:] + thetas[:start])
+                if any(p % q == 0 and _same_angles(orbit, orbit[q:] + orbit[:q])
+                       for q in range(1, p)):
+                    continue  # a shorter word traces this orbit
+                if any(o.period == p and _same_angles(o.thetas, orbit) for o in out):
+                    continue
+                lam = sum(math.log(d) for d in d_vals) / p
+                out.append(PeriodicOrbit(orbit, p, lam, math.prod(d_vals)))
     out.sort(key=lambda o: (o.period, o.thetas[0]))
     return out
-
-
-def _scan_cell(params, p, a, b, orbits) -> None:
-    # Keep strictly inside the cell: endpoints are switching preimages where
-    # the p-fold map kinks (they are probed separately).
-    pad = max(1e-12, (b - a) * 1e-9)
-    lo, hi = a + pad, b - pad
-    if hi <= lo:
-        return
-    tl, dl, tr, dr = params.tau_L, params.delta_L, params.tau_R, params.delta_R
-
-    def f(t: float) -> float:
-        th = t
-        for _ in range(p):
-            th = _g_scalar(tl, dl, tr, dr, th)
-        return th - t
-
-    k = max(16, min(256, int((b - a) / 0.01)))
-    grid = np.linspace(lo, hi, k)
-    vals = np.array([f(t) for t in grid])
-    sgn = np.sign(vals)
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        x0, x1 = float(grid[i]), float(grid[i + 1])
-        f0 = vals[i]
-        while x1 - x0 > BISECT_TOL:
-            mid = 0.5 * (x0 + x1)
-            fm = f(mid)
-            if (fm > 0) == (f0 > 0):
-                x0, f0 = mid, fm
-            else:
-                x1 = mid
-        _try_root(params, p, 0.5 * (x0 + x1), orbits)
-    for i in np.nonzero(vals == 0.0)[0]:
-        _try_root(params, p, float(grid[i]), orbits)
-
-
-def _try_root(params, p, theta, orbits) -> None:
-    """Validate a candidate period-p point and record its orbit."""
-    tl, dl, tr, dr = params.tau_L, params.delta_L, params.tau_R, params.delta_R
-    thetas = [theta]
-    for _ in range(p - 1):
-        thetas.append(_g_scalar(tl, dl, tr, dr, thetas[-1]))
-    closure = abs(_g_scalar(tl, dl, tr, dr, thetas[-1]) - theta)
-    if closure > 1e-8:
-        return
-    # Minimal period must divide p.
-    for d in range(1, p):
-        if p % d == 0 and abs(_iterate_G(params, theta, d) - theta) < 1e-8:
-            return  # already found at period d
-    key = (p, int(round(min(thetas) / EPS_ANGLE)))
-    if key in orbits:
-        return
-
-    d_vals = [_d_scalar(tl, dl, tr, dr, t) for t in thetas]
-    lam = sum(math.log(v) for v in d_vals) / p
-    mult = math.prod(d_vals)
-
-    # Cross-validate: the starting direction must be an eigenvector of the
-    # itinerary's matrix product with eigenvalue prod(D).
-    mat = np.eye(2)
-    for t in thetas:
-        mat = (params.matrix("right") if t <= HALF_PI else params.matrix("left")) @ mat
-    v = np.array([math.cos(theta), math.sin(theta)])
-    resid = float(np.linalg.norm(mat @ v - mult * v))
-    if resid > 1e-6 * max(1.0, abs(mult)):
-        warnings.warn(
-            f"periodic candidate at theta={theta:.12f} (p={p}) failed the "
-            f"matrix-product eigencheck (residual {resid:.2e}); dropped",
-            stacklevel=2,
-        )
-        return
-
-    start = thetas.index(min(thetas))
-    ordered = tuple(thetas[start:] + thetas[:start])
-    orbits[key] = PeriodicOrbit(ordered, p, lam, mult)

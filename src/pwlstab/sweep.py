@@ -92,19 +92,14 @@ def _measure_row(args) -> tuple[int, list[float], list[float]]:
     fr: list[float] = []
     un: list[float] = []
     for j, tr in enumerate(tr_values):
-        try:
-            m = NormalForm2D(tl, dl, tr, dr).pwl()
-            est = rho_sampled(
-                m,
-                n_samples=samples,
-                orbit_budget=budget,
-                seed=mix_seed(base_seed, i, j),
-            )
-            fr.append(est.rho_hat)
-            un.append(est.undecided_fraction)
-        except Exception:
-            fr.append(0.0)
-            un.append(1.0)
+        est = rho_sampled(
+            NormalForm2D(tl, dl, tr, dr).pwl(),
+            n_samples=samples,
+            orbit_budget=budget,
+            seed=mix_seed(base_seed, i, j),
+        )
+        fr.append(est.rho_hat)
+        un.append(est.undecided_fraction)
     return i, fr, un
 
 

@@ -305,10 +305,36 @@ class TestPeriodicOrbits:
         assert period1 == pytest.approx(expected, abs=1e-9)
 
     def test_periods_are_minimal(self):
-        for pt in (PT_FOLD, PT_UNSTABLE):
+        points = (
+            PT_FOLD,
+            PT_UNSTABLE,
+            # tau_R = 0: G swaps 0 and pi/2, an orbit through the switching
+            # ray that longer words trace again
+            (1.0, 1.4, 0.0, -1.2),
+            # tau_L = tau_R = 0: the word LLLLRR has a product 2.352 * I
+            (0.0, 1.4, 0.0, -1.2),
+            # two period-6 orbits 5e-4 apart
+            (0.5916, 0.7480, -1.5024, -0.3868),
+        )
+        for pt in points:
             params = NormalForm2D(*pt)
-            for orb in periodic_orbits_G(params, p_max=6):
+            orbits = periodic_orbits_G(params, p_max=6)
+            for orb in orbits:
                 th = orb.thetas[0]
                 for p in range(1, orb.period):
                     th = circle_G(params, th)
                     assert abs(th - orb.thetas[0]) > 1e-6
+            for i, a in enumerate(orbits):
+                for b in orbits[:i]:
+                    assert a.period != b.period or max(
+                        abs(x - y) for x, y in zip(a.thetas, b.thetas)
+                    ) > 1e-6, f"orbit listed twice at {pt}: {a.thetas}"
+
+    def test_orbit_on_steep_branch_is_found(self):
+        # G^6 is too steep near this orbit for a sampling grid to see it cross
+        # the diagonal.
+        params = NormalForm2D(0.968, 1.763, -2.392, -0.454)
+        p6 = [o for o in periodic_orbits_G(params, p_max=6) if o.period == 6]
+        hit = [o for o in p6 if abs(o.thetas[0] - 1.129603) < 1e-6]
+        assert len(hit) == 1
+        assert hit[0].lambda_value == pytest.approx(-1.4037, abs=1e-4)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pwlstab import sweep
 from pwlstab import (
     GridMode,
     GridResult,
@@ -86,6 +87,14 @@ class TestMeasureSweep:
         forked = sweep_measure(spec, samples_per_cell=200, base_seed=4, workers=2)
         assert np.array_equal(serial.values, forked.values)
         assert np.array_equal(serial.undecided, forked.undecided)
+
+    def test_cell_error_is_raised_not_recorded(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(sweep, "rho_sampled", broken)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            sweep_measure(spec1(2.5, -0.5), samples_per_cell=10)
 
 
 class TestAsymptoticSweep:
