@@ -144,7 +144,7 @@ def _cmd_rho(args) -> int:
         print(f"rho_closed_form={value!r}")
     except (RegimeError, ArithmeticError) as exc:
         print(f"rho_closed_form=unavailable reason={str(exc)!r}")
-    est = rho_sampled(params.pwl(), n_samples=args.samples, seed=args.seed)
+    est = rho_sampled(params, n_samples=args.samples, seed=args.seed)
     print(f"rho_sampled={est.rho_hat!r}")
     print(f"undecided={est.undecided_fraction!r}")
     print(f"n_samples={est.n_samples}")

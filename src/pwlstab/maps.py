@@ -79,12 +79,30 @@ class NormalForm2D:
     switching line is x = 0.  Construction is allowed for any parameters;
     the individual analyses check their own regime requirements
     (``delta_L > 0 > delta_R`` for the sphere decomposition work).
+
+    ``step`` and ``step_scalar`` are the one definition of the map's step
+    (x, y) -> (tau x + y, -delta x) used by the angular and sampled orbits:
+    points with x <= 0 take the left pair (tau_L, delta_L), the rest the
+    right pair.  Both sides agree on x = 0 up to the sign of a zero.
     """
 
     tau_L: float
     delta_L: float
     tau_R: float
     delta_R: float
+
+    def step(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step of the map on coordinate arrays, elementwise."""
+        left = x <= 0.0
+        tau = np.where(left, self.tau_L, self.tau_R)
+        delta = np.where(left, self.delta_L, self.delta_R)
+        return tau * x + y, -delta * x
+
+    def step_scalar(self, x: float, y: float) -> tuple[float, float]:
+        """``step`` on one point, without numpy overhead, for sequential orbits."""
+        if x <= 0.0:
+            return self.tau_L * x + y, -self.delta_L * x
+        return self.tau_R * x + y, -self.delta_R * x
 
     def matrix(self, side: str) -> np.ndarray:
         if side == "left":

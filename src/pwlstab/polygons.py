@@ -456,7 +456,9 @@ def _transform_chain(
     src_area = 0.5 * abs(
         float(np.sum(radii[:-1] * radii[1:] * np.sin(np.diff(angles))))
     )
-    if np.any(r <= 1e-12):
+    # Relative to each vertex's own radius: the map is homogeneous, so deep
+    # iterates may be small in absolute terms without any collapse.
+    if np.any(r <= 1e-12 * radii):
         if src_area > EPS_GEOM:
             raise DegenerateImageError("matrix collapsed a polygon piece onto the origin")
         r = np.maximum(r, 1e-300)

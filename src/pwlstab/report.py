@@ -198,7 +198,7 @@ def analyze(
             "seed": None,
         }
     except (RegimeError, ArithmeticError):
-        est_rho = rho_sampled(params.pwl(), n_samples=rho_samples, seed=seed)
+        est_rho = rho_sampled(params, n_samples=rho_samples, seed=seed)
         rho = {
             "method": "sampled",
             "value": float(est_rho.rho_hat),

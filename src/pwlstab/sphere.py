@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeError, ZeroImageError
-from .maps import NormalForm2D, ORBIT_BUDGET, CONV_RADIUS, DIV_RADIUS, PWLMap, eig2
+from .maps import NormalForm2D, ORBIT_BUDGET, CONV_RADIUS, DIV_RADIUS, PWLMap, eig2, eval_pwl
 
 HALF_PI = math.pi / 2.0
 
@@ -47,8 +47,7 @@ def sphere_eval(m: PWLMap, z: np.ndarray) -> SphereMapEval:
     z = np.asarray(z, dtype=float)
     if abs(float(np.linalg.norm(z)) - 1.0) > 1e-9:
         raise ValueError("sphere_eval expects a unit vector")
-    a = m.A_left if float(m.normal @ z) <= 0.0 else m.A_right
-    w = a @ z
+    w = eval_pwl(m, z)
     d = float(np.linalg.norm(w))
     if d < 1e-12:
         raise ZeroImageError("unit vector maps (numerically) to the origin")
@@ -71,21 +70,12 @@ def _require_sign_regime(params: NormalForm2D) -> None:
 
 
 def _image_components(params: NormalForm2D, theta):
-    """Vector image of the ray at angle theta under the matching side matrix.
-
-    Rays with theta <= pi/2 lie in x >= 0 (right side), the rest in x <= 0.
-    Both sides agree at pi/2 where the ray is x = 0.  Vectorized over theta.
-    """
-    theta = np.asarray(theta, dtype=float)
+    """Vector image of the unit ray at angle theta.  Vectorized over theta."""
     c = np.cos(theta)
-    s = np.sin(theta)
     # cos(pi/2) is 6.1e-17 in floats; the boundary ray is meant to be
     # exactly vertical, where both sides send it to the positive x-axis
     c = np.where(theta == HALF_PI, 0.0, c)
-    right = theta <= HALF_PI
-    tau = np.where(right, params.tau_R, params.tau_L)
-    delta = np.where(right, params.delta_R, params.delta_L)
-    return tau * c + s, -delta * c
+    return params.step(c, np.sin(theta))
 
 
 def _check_angles(theta) -> np.ndarray:
@@ -119,8 +109,9 @@ def circle_G(params: NormalForm2D, theta):
     x, y = _image_components(params, t)
     out = np.arctan2(y, x)
     # y >= 0 in regime; the only way to land at exactly pi would be y == 0,
-    # x < 0, which the sign pattern rules out.  Guard anyway.
-    out = np.where(out >= math.pi, 0.0, np.maximum(out, 0.0))
+    # x < 0, which the sign pattern rules out.  Guard anyway.  At pi/2 the
+    # left pair gives y = -0.0, which folds to +0.0 here.
+    out = np.where((out <= 0.0) | (out >= math.pi), 0.0, out)
     return float(out) if np.isscalar(theta) or out.ndim == 0 else out
 
 
@@ -147,7 +138,7 @@ def _batch_std_error(values: np.ndarray, n_batches: int = 100) -> float:
 
 
 def birkhoff_lambda(
-    m: PWLMap | NormalForm2D,
+    params: NormalForm2D,
     z0: np.ndarray,
     n: int = DEFAULT_ITERS,
     burn_in: int = DEFAULT_BURN_IN,
@@ -159,8 +150,6 @@ def birkhoff_lambda(
     batch means, which tolerates the serial correlation of the orbit.
     Deterministic: no randomness is involved.
     """
-    if isinstance(m, NormalForm2D):
-        m = m.pwl()
     if n <= 0:
         raise ValueError("n must be positive")
     z = np.asarray(z0, dtype=float)
@@ -170,36 +159,19 @@ def birkhoff_lambda(
     z = z / r
 
     logs = np.empty(n)
-    if m.dim == 2:
-        # Scalar fast path: ~0.3 s per 1e6 steps, against ~10 s through numpy.
-        all_, alr = m.A_left[0]
-        bll, blr = m.A_left[1]
-        arl, arr_ = m.A_right[0]
-        brl, brr = m.A_right[1]
-        nx, ny = float(m.normal[0]), float(m.normal[1])
-        zx, zy = float(z[0]), float(z[1])
-        log = math.log
-        hypot = math.hypot
-        for i in range(-burn_in, n):
-            if nx * zx + ny * zy <= 0.0:
-                wx = all_ * zx + alr * zy
-                wy = bll * zx + blr * zy
-            else:
-                wx = arl * zx + arr_ * zy
-                wy = brl * zx + brr * zy
-            d = hypot(wx, wy)
-            if d < 1e-12:
-                raise ZeroImageError("orbit hit the kernel of a side matrix")
-            if i >= 0:
-                logs[i] = log(d)
-            zx = wx / d
-            zy = wy / d
-    else:
-        for i in range(-burn_in, n):
-            ev = sphere_eval(m, z)
-            if i >= 0:
-                logs[i] = math.log(ev.d_value)
-            z = ev.g_point
+    zx, zy = float(z[0]), float(z[1])
+    step = params.step_scalar
+    log = math.log
+    hypot = math.hypot
+    for i in range(-burn_in, n):
+        wx, wy = step(zx, zy)
+        d = hypot(wx, wy)
+        if d < 1e-12:
+            raise ZeroImageError("orbit hit the kernel of a side matrix")
+        if i >= 0:
+            logs[i] = log(d)
+        zx = wx / d
+        zy = wy / d
 
     return MeasureEstimate(float(logs.mean()), n, burn_in, _batch_std_error(logs))
 
@@ -382,8 +354,8 @@ def rho_closed_form(params: NormalForm2D) -> float:
     psi = theta_minus + diff
 
     # psi sits in (3pi/2, 2pi): x = cos(psi) > 0, so the right matrix acts.
-    c, s = math.cos(psi), math.sin(psi)
-    img = math.atan2(-params.delta_R * c, params.tau_R * c + s)
+    x, y = params.step_scalar(math.cos(psi), math.sin(psi))
+    img = math.atan2(y, x)
     if abs(img - theta_minus) > EPS_ANGLE:
         raise ArithmeticError(
             "closed-form consistency check failed: G(psi) is not the repelling ray"
@@ -402,7 +374,7 @@ class RhoEstimate:
 
 
 def rho_sampled(
-    m: PWLMap,
+    params: NormalForm2D,
     n_samples: int = 10_000,
     orbit_budget: int = ORBIT_BUDGET,
     seed: int = 0,
@@ -419,35 +391,28 @@ def rho_sampled(
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n_samples, m.dim))
-    norms = np.linalg.norm(x, axis=1)
+    pts = rng.normal(size=(n_samples, 2))
+    norms = np.linalg.norm(pts, axis=1)
     while np.any(norms < 1e-12):  # essentially never; keeps directions well defined
         bad = norms < 1e-12
-        x[bad] = rng.normal(size=(int(bad.sum()), m.dim))
-        norms = np.linalg.norm(x, axis=1)
-    x /= norms[:, None]
+        pts[bad] = rng.normal(size=(int(bad.sum()), 2))
+        norms = np.linalg.norm(pts, axis=1)
+    pts /= norms[:, None]
 
-    lt = m.A_left.T
-    rt = m.A_right.T
-    b = m.normal
+    x, y = pts[:, 0], pts[:, 1]
     n_conv = 0
-    n_div = 0
     for _ in range(orbit_budget):
-        if x.shape[0] == 0:
+        if x.size == 0:
             break
-        left = (x @ b) <= 0.0
-        x = np.where(left[:, None], x @ lt, x @ rt)
-        sq = np.einsum("ij,ij->i", x, x)
+        x, y = params.step(x, y)
+        sq = x * x + y * y
         conv = sq < conv_radius * conv_radius
-        div = ~np.isfinite(sq) | (sq > div_radius * div_radius)
-        done = conv | div
+        done = conv | ~np.isfinite(sq) | (sq > div_radius * div_radius)
         if np.any(done):
             n_conv += int(conv.sum())
-            n_div += int((div & ~conv).sum())
             x = x[~done]
-    return RhoEstimate(
-        n_conv / n_samples, x.shape[0] / n_samples, n_samples, seed
-    )
+            y = y[~done]
+    return RhoEstimate(n_conv / n_samples, x.size / n_samples, n_samples, seed)
 
 
 def histogram_G(
@@ -464,11 +429,13 @@ def histogram_G(
     _require_sign_regime(params)
     if n <= 0:
         raise ValueError("n must be positive")
-    tl, dl, tr, dr = params.tau_L, params.delta_L, params.tau_R, params.delta_R
     th = float(_check_angles(theta0))
+    step = params.step_scalar
     samples = np.empty(n)
     for i in range(n):
-        th = _g_scalar(tl, dl, tr, dr, th)
+        x, y = step(math.cos(th), math.sin(th))
+        a = math.atan2(y, x)
+        th = 0.0 if a < 0.0 or a >= math.pi else a
         samples[i] = th
     return np.histogram(samples, bins=bins, range=(0.0, math.pi), density=True)
 
@@ -486,20 +453,6 @@ class PeriodicOrbit:
     period: int
     lambda_value: float
     multiplier: float
-
-
-def _g_scalar(tl: float, dl: float, tr: float, dr: float, th: float) -> float:
-    """Scalar circle map without numpy overhead; assumes the sign regime."""
-    c = math.cos(th)
-    s = math.sin(th)
-    if th <= HALF_PI:
-        x, y = tr * c + s, -dr * c
-    else:
-        x, y = tl * c + s, -dl * c
-    a = math.atan2(y, x)
-    if a < 0.0 or a >= math.pi:
-        return 0.0
-    return a
 
 
 def _lyndon_words(n_max: int):

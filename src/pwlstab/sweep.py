@@ -93,7 +93,7 @@ def _measure_row(args) -> tuple[int, list[float], list[float]]:
     un: list[float] = []
     for j, tr in enumerate(tr_values):
         est = rho_sampled(
-            NormalForm2D(tl, dl, tr, dr).pwl(),
+            NormalForm2D(tl, dl, tr, dr),
             n_samples=samples,
             orbit_budget=budget,
             seed=mix_seed(base_seed, i, j),

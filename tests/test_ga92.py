@@ -74,6 +74,26 @@ class TestVerdicts:
         assert v.m == 2 and v.k is None
         assert "segment" in v.note
 
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            (-0.4613, 0.9460, -2.1263, -0.4840),
+            (-0.0840, 0.8219, -2.1121, -0.8999),
+            (-0.5396, 1.8114, -1.0113, -0.7846),
+        ],
+    )
+    def test_small_iterates_are_not_degenerate(self, pt):
+        # tau_L < 0: the chain's inner radius drops to about 1e-13 while the
+        # side matrices stay invertible, so the image must not count as a
+        # collapse onto the origin
+        params = NormalForm2D(*pt)
+        v = ga92(params)
+        assert v.status in (CertificateStatus.STABLE, CertificateStatus.NOT_DECIDED)
+        if v.status is CertificateStatus.STABLE:
+            est = rho_sampled(params, n_samples=2000, seed=0)
+            assert est.rho_hat == 1.0
+            assert est.undecided_fraction == 0.0
+
     def test_rejects_rotating_left_half(self):
         with pytest.raises(RegimeError, match="2\\*sqrt"):
             ga92(NormalForm2D(2.5, 1.4, -0.5, -1.2))
@@ -124,7 +144,7 @@ class TestVerdictInvariants:
             assert v.status is base.status
 
     def test_stable_point_has_fully_attracted_measure(self):
-        est = rho_sampled(NormalForm2D(*PT_STABLE).pwl(), n_samples=2000, seed=5)
+        est = rho_sampled(NormalForm2D(*PT_STABLE), n_samples=2000, seed=5)
         assert est.rho_hat == 1.0
         assert est.undecided_fraction == 0.0
 

@@ -87,6 +87,32 @@ class TestEvalPWL:
         assert np.allclose(m.A_left @ v, m.A_right @ v, rtol=1e-12, atol=1e-12)
 
 
+class TestNormalFormStep:
+    params = NormalForm2D(2.0, 1.4, -0.8, -1.2)
+
+    def test_array_and_scalar_agree_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate((rng.normal(size=200), [0.0, -0.0, 5e-324, -5e-324]))
+        y = np.concatenate((rng.normal(size=200), [1.5, -2.5, 0.7, -0.3]))
+        ax, ay = self.params.step(x, y)
+        sx, sy = zip(*(self.params.step_scalar(float(a), float(b)) for a, b in zip(x, y)))
+        # tobytes tells -0.0 from 0.0
+        assert np.array(sx).tobytes() == ax.tobytes()
+        assert np.array(sy).tobytes() == ay.tobytes()
+
+    def test_x_nonpositive_takes_left_pair(self):
+        p = self.params
+        for x in (-1.0, -5e-324, -0.0, 0.0):
+            assert p.step_scalar(x, 0.5) == (p.tau_L * x + 0.5, -p.delta_L * x)
+        for x in (5e-324, 1.0):
+            assert p.step_scalar(x, 0.5) == (p.tau_R * x + 0.5, -p.delta_R * x)
+        # y = -delta_L * 0.0 = -0.0 on the switching line, the left pair's sign
+        assert math.copysign(1.0, p.step_scalar(0.0, 0.5)[1]) == -1.0
+        assert math.copysign(1.0, p.step_scalar(-0.0, 0.5)[1]) == 1.0
+        x = np.array([-1.0, 0.0, 1.0])
+        assert np.array_equal(p.step(x, np.zeros(3))[1], [1.4, 0.0, 1.2])
+
+
 class TestOrbit:
     def test_contraction_converges(self):
         m = PWLMap(0.5 * np.eye(2), 0.5 * np.eye(2), np.array([1.0, 0.0]))

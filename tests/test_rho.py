@@ -63,29 +63,30 @@ class TestClosedForm:
 
 class TestSampled:
     def test_matches_closed_form(self):
-        est = rho_sampled(NormalForm2D(*PT_FOLD).pwl(), n_samples=4000, seed=7)
+        est = rho_sampled(NormalForm2D(*PT_FOLD), n_samples=4000, seed=7)
         assert est.rho_hat == pytest.approx(FOLD_RHO, abs=0.03)
+        assert est.rho_hat == 0.35825  # pinned seeded output
         assert est.undecided_fraction == 0.0
         assert est.n_samples == 4000 and est.seed == 7
 
     def test_deterministic_per_seed(self):
-        m = NormalForm2D(*PT_FOLD).pwl()
+        m = NormalForm2D(*PT_FOLD)
         a = rho_sampled(m, n_samples=2000, seed=11)
         b = rho_sampled(m, n_samples=2000, seed=11)
         assert a == b
 
     def test_contracting_map_fully_attracted(self):
-        m = NormalForm2D(0.5, 0.2, -0.5, -0.2).pwl()
+        m = NormalForm2D(0.5, 0.2, -0.5, -0.2)
         est = rho_sampled(m, n_samples=1000, seed=3)
         assert est.rho_hat == 1.0
         assert est.undecided_fraction == 0.0
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
-            rho_sampled(NormalForm2D(*PT_FOLD).pwl(), n_samples=0)
+            rho_sampled(NormalForm2D(*PT_FOLD), n_samples=0)
 
     def test_tight_budget_leaves_undecided(self):
         # with only a couple of steps nothing reaches either radius
-        m = NormalForm2D(*PT_FOLD).pwl()
+        m = NormalForm2D(*PT_FOLD)
         est = rho_sampled(m, n_samples=500, orbit_budget=2, seed=0)
         assert est.undecided_fraction > 0.5

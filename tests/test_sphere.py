@@ -1,5 +1,6 @@
 """Radial/angular decomposition: D, G, averages, fixed points, periodic orbits."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -47,6 +48,10 @@ def u(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)])
 
 
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
 class TestSphereEval:
     def test_matches_direct_evaluation(self):
         m = NormalForm2D(*PT_FOLD).pwl()
@@ -81,7 +86,8 @@ class TestSphereEval:
 class TestCircleMaps:
     def test_g_pi_half_is_exactly_zero(self):
         for pt in (PT_FOLD, PT_STABLE, PT_UNSTABLE):
-            assert circle_G(NormalForm2D(*pt), math.pi / 2) == 0.0
+            g = circle_G(NormalForm2D(*pt), math.pi / 2)
+            assert g == 0.0 and math.copysign(1.0, g) == 1.0
 
     def test_matches_sphere_eval(self):
         # dual route: scalar closed form vs generic vector evaluation
@@ -130,6 +136,9 @@ class TestCircleMaps:
         for t, g, d in zip(grid, gv, dv):
             assert circle_G(params, float(t)) == g
             assert circle_D(params, float(t)) == d
+        # pinned bit for bit
+        assert _sha256(gv) == "4a6372f04f04da70b63b67e473dfda689e20f8c10623a1de2ad187feac0e1431"
+        assert _sha256(dv) == "4f67e421905c87249d0a435b3b21f4874d6410925a49f3323f88c8e12e4d62a9"
 
 
 class TestFixedPoints:
@@ -223,6 +232,8 @@ class TestBirkhoff:
         a = birkhoff_lambda(params, u(0.5), n=20_000)
         b = birkhoff_lambda(params, u(0.5), n=20_000)
         assert a == b
+        assert a.lambda_hat == -0.16017808735634326
+        assert a.std_error == 0.0006856464300350601
 
     def test_factorization_consistency(self):
         # exp(sum ln D) must reproduce |g^n(z)| (checked at n = 60 here;
@@ -264,6 +275,7 @@ class TestHistogram:
         a = histogram_G(NormalForm2D(*PT_STABLE), n=5_000, bins=50)
         b = histogram_G(NormalForm2D(*PT_STABLE), n=5_000, bins=50)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert _sha256(a[0]) == "6d1b877842b3c3f6ce74f64be0692021e725364124238b4e8adbead3fb849765"
 
 
 class TestPeriodicOrbits:

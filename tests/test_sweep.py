@@ -66,7 +66,7 @@ class TestMeasureSweep:
         spec = spec1(2.5, -0.5)
         res = sweep_measure(spec, samples_per_cell=500, base_seed=9)
         direct = rho_sampled(
-            NormalForm2D(2.5, 1.4, -0.5, -1.2).pwl(),
+            NormalForm2D(2.5, 1.4, -0.5, -1.2),
             n_samples=500,
             seed=mix_seed(9, 0, 0),
         )
