@@ -19,7 +19,7 @@ upper envelope of the chain segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -142,46 +142,41 @@ class StarPolygon:
 
     # -- radial evaluation ---------------------------------------------------
 
-    def _seg_value(self, j: int, phi: float) -> float:
-        """Radius of chain segment j -> j+1 along the ray at angle phi.
+    def _sides(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Boundary radius just below, just above and at each angle of ``phi``.
 
-        Returns -inf when the segment does not cover phi.  A zero-width
-        (radial jump) segment covers only its own angle and contributes the
-        larger endpoint radius there.
+        Chain angles within ANGLE_TOL of a query angle count as that angle.
+        A side reads exactly 0 where no segment wider than ANGLE_TOL lies on
+        it.  The value at the angle also takes every chain point there, so it
+        sees the outer end of a radial jump edge and a single-ray chain.
         """
-        a0 = float(self.angles[j])
-        a1 = float(self.angles[j + 1])
-        if phi < a0 - ANGLE_TOL or phi > a1 + ANGLE_TOL:
-            return -math.inf
-        r0 = float(self.radii[j])
-        r1 = float(self.radii[j + 1])
-        if a1 - a0 <= ANGLE_TOL:
-            return max(r0, r1)
-        ax, ay = r0 * math.cos(a0), r0 * math.sin(a0)
-        bx, by = r1 * math.cos(a1), r1 * math.sin(a1)
-        ux, uy = math.cos(phi), math.sin(phi)
-        den = _cross(ux, uy, bx - ax, by - ay)
-        if abs(den) < 1e-300:
-            return max(r0, r1)
-        return _cross(ax, ay, bx, by) / den
+        ang, rad, pts = self.angles, self.radii, self.points
+        first = np.searchsorted(ang, phi - ANGLE_TOL, "left")
+        stop = np.searchsorted(ang, phi + ANGLE_TOL, "right")
+        # Per segment j -> j+1: whether it is wider than ANGLE_TOL, and its
+        # line r(phi) = num / (ux * dy - uy * dx).  The trailing entry stands
+        # for the missing segments j = -1 and j = k - 1.
+        wide = np.append(ang[1:] - ang[:-1] > ANGLE_TOL, False)
+        x, y = pts[:, 0], pts[:, 1]
+        num = np.append(x[:-1] * y[1:] - y[:-1] * x[1:], 0.0)
+        dx, dy = np.append(x[1:] - x[:-1], 0.0), np.append(y[1:] - y[:-1], 0.0)
+        ux, uy = np.cos(phi), np.sin(phi)
 
-    def _covering_segment(self, lo: float, hi: float) -> int | None:
-        """Index of the chain segment spanning the open interval (lo, hi).
+        def side(j: np.ndarray) -> np.ndarray:
+            ok = wide[j]
+            den = np.where(ok, ux * dy[j] - uy * dx[j], 1.0)
+            return np.where(ok, num[j] / den, 0.0)
 
-        Well-defined only when no chain angle lies strictly inside; callers
-        guarantee that by merging all chain angles into their interval grid.
-        """
-        k = self.angles.size
-        if k < 2:
-            return None
-        mid = 0.5 * (lo + hi)
-        if mid < self.angles[0] - ANGLE_TOL or mid > self.angles[-1] + ANGLE_TOL:
-            return None
-        j = int(np.searchsorted(self.angles, mid, side="right")) - 1
-        j = min(max(j, 0), k - 2)
-        if self.angles[j + 1] - self.angles[j] <= ANGLE_TOL:
-            return None  # mid sits on a radial jump: nothing spans the interval
-        return j
+        # Below: the segment ending at the first chain point at phi, or
+        # spanning phi.  Above: the one starting at the last point there.
+        below = side(first - 1)
+        above = side(stop - 1)
+        at = np.maximum(below, above)
+        for offset in range(int(np.max(stop - first, initial=0))):
+            i = first + offset
+            here = i < stop
+            at[here] = np.maximum(at[here], rad[i[here]])
+        return below, above, at
 
     def radius_at(self, phi):
         """Radial extent of the closed region along the ray at angle phi.
@@ -189,27 +184,8 @@ class StarPolygon:
         At a jump angle this is the larger of the two one-sided limits; far
         from the support it is 0.  Accepts scalars or arrays.
         """
-        scalar = np.isscalar(phi)
-        p = np.atleast_1d(np.asarray(phi, dtype=float))
-        k = self.angles.size
-        out = np.zeros_like(p)
-        inside = (p >= self.angles[0] - ANGLE_TOL) & (p <= self.angles[-1] + ANGLE_TOL)
-        if k == 1:
-            out[inside] = float(self.radii[0])
-            return float(out[0]) if scalar else out
-        idx = np.nonzero(inside)[0]
-        for i in idx:
-            ph = float(p[i])
-            # Every segment whose padded window can contain ph: a contiguous
-            # index range (a query one ulp off a jump angle must still see
-            # both sides of the jump).
-            j_lo = int(np.searchsorted(self.angles, ph - ANGLE_TOL, "left")) - 1
-            j_hi = int(np.searchsorted(self.angles, ph + ANGLE_TOL, "right")) - 1
-            v = 0.0
-            for j in range(max(j_lo, 0), min(j_hi, k - 2) + 1):
-                v = max(v, self._seg_value(j, ph))
-            out[i] = v
-        return float(out[0]) if scalar else out
+        at = self._sides(np.atleast_1d(np.asarray(phi, dtype=float)))[2]
+        return float(at[0]) if np.isscalar(phi) else at
 
 
 # The accumulated union of star polygons is itself star-shaped, so a single
@@ -217,43 +193,26 @@ class StarPolygon:
 StarRegion = StarPolygon
 
 
-def _merge_angles(*arrays: np.ndarray) -> list[float]:
-    vals = np.sort(np.concatenate(arrays))
-    out: list[float] = []
-    for v in vals:
-        if not out or v - out[-1] > ANGLE_TOL:
-            out.append(float(v))
-    return out
+def _grid(lo: float, hi: float, *chains: StarPolygon) -> np.ndarray:
+    """Sorted chain angles in [lo, hi] and both ends, one per ANGLE_TOL cluster.
 
-
-def _line_intersection(p1, p2, q1, q2):
-    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
-    d2x, d2y = q2[0] - q1[0], q2[1] - q1[1]
-    den = _cross(d1x, d1y, d2x, d2y)
-    if abs(den) < 1e-300:
-        return None
-    t = _cross(q1[0] - p1[0], q1[1] - p1[1], d2x, d2y) / den
-    return (p1[0] + t * d1x, p1[1] + t * d1y)
+    Between consecutive grid angles every chain is a single straight segment
+    or empty.
+    """
+    v = np.sort(np.concatenate([c.angles for c in chains] + [np.array([lo, hi])]))
+    v = v[(v >= lo - ANGLE_TOL) & (v <= hi + ANGLE_TOL)]
+    return v[np.append(True, np.diff(v) > ANGLE_TOL)]
 
 
 def _prune_chain(angles: list[float], radii: list[float]) -> tuple[list[float], list[float]]:
-    """Drop duplicate points and collinear interior points (within 1e-12)."""
-    # exact-duplicate collapse
-    a_out: list[float] = []
-    r_out: list[float] = []
-    for a, r in zip(angles, radii):
-        if a_out and a - a_out[-1] <= ANGLE_TOL and abs(r - r_out[-1]) <= 1e-11 * max(1.0, r):
-            r_out[-1] = max(r_out[-1], r)
-            continue
-        a_out.append(a)
-        r_out.append(r)
-    # collinear interior points: distance to the chord below 1e-12 * scale
+    """Drop collinear interior points (distance to the chord within 1e-12 of scale)."""
+    a_out, r_out = angles, radii
     changed = True
     while changed and len(a_out) > 2:
         changed = False
         keep = [True] * len(a_out)
         pts = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(a_out, r_out)]
-        scale = max(max(r_out), 1.0)
+        scale = max(r_out)
         i = 1
         while i < len(a_out) - 1:
             p0, p1, p2 = pts[i - 1], pts[i], pts[i + 1]
@@ -277,81 +236,65 @@ def _prune_chain(angles: list[float], radii: list[float]) -> tuple[list[float], 
     return a_out, r_out
 
 
-class _Walk:
-    """Shared sweep over the merged angle grid of two radial chains."""
-
-    def __init__(self, a: StarPolygon, b: StarPolygon, lo: float, hi: float):
-        self.a = a
-        self.b = b
-        grid = [
-            x
-            for x in _merge_angles(a.angles, b.angles, np.array([lo, hi]))
-            if lo - ANGLE_TOL <= x <= hi + ANGLE_TOL
-        ]
-        if not grid or grid[0] > lo + ANGLE_TOL:
-            grid.insert(0, lo)
-        if grid[-1] < hi - ANGLE_TOL:
-            grid.append(hi)
-        self.grid = grid
-
-    def intervals(self):
-        """Yield (lo, hi, seg_a, seg_b, ra_lo, ra_hi, rb_lo, rb_hi) per cell."""
-        for lo, hi in zip(self.grid[:-1], self.grid[1:]):
-            if hi - lo <= ANGLE_TOL:
-                continue
-            ja = self.a._covering_segment(lo, hi)
-            jb = self.b._covering_segment(lo, hi)
-            ra0 = self.a._seg_value(ja, lo) if ja is not None else 0.0
-            ra1 = self.a._seg_value(ja, hi) if ja is not None else 0.0
-            rb0 = self.b._seg_value(jb, lo) if jb is not None else 0.0
-            rb1 = self.b._seg_value(jb, hi) if jb is not None else 0.0
-            yield lo, hi, ja, jb, max(ra0, 0.0), max(ra1, 0.0), max(rb0, 0.0), max(rb1, 0.0)
-
-
 def union_star(a: StarPolygon, b: StarPolygon) -> StarPolygon:
     """Union of two star regions, as the upper envelope of their radial chains.
 
-    The merged angle grid contains every chain angle of both inputs, so
-    inside each grid cell both boundaries are single straight segments; the
-    envelope can then only switch between them at one interior crossing,
-    which is inserted exactly.  Supports must overlap or touch (a union with
-    a gap of empty angles would not be star-shaped with one chain).
+    On the merged angle grid both boundaries are single straight segments
+    inside each cell, so the envelope takes the larger one-sided radius at
+    every grid angle and can switch chains only at one interior crossing,
+    which is placed exactly from the four radii at the cell's ends.
+    Supports must overlap or touch (a union with a gap of empty angles would
+    not be star-shaped with one chain).
     """
     a0, a1 = a.support
     b0, b1 = b.support
     if max(a0, b0) > min(a1, b1) + 10 * ANGLE_TOL:
         raise ValueError("angular supports are disjoint; union is not a star chain")
-    lo, hi = min(a0, b0), max(a1, b1)
+    grid = _grid(min(a0, b0), max(a1, b1), a, b)
+    a_below, a_above, _ = a._sides(grid)
+    b_below, b_above, _ = b._sides(grid)
+
+    # The envelope switches chains inside a cell only where the difference
+    # changes sign there; the crossing is where the lines through each
+    # chain's radii at the two ends of the cell meet.
+    cells = np.nonzero((a_above[:-1] - b_above[:-1]) * (a_below[1:] - b_below[1:]) < 0.0)[0]
+    u0 = np.array([np.cos(grid[cells]), np.sin(grid[cells])])
+    u1 = np.array([np.cos(grid[cells + 1]), np.sin(grid[cells + 1])])
+    pa0, pa1 = a_above[cells] * u0, a_below[cells + 1] * u1
+    pb0, pb1 = b_above[cells] * u0, b_below[cells + 1] * u1
+    da, db = pa1 - pa0, pb1 - pb0
+    qx, qy = pa0 + _cross(*(pb0 - pa0), *db) / _cross(*da, *db) * da
+    crossings = {
+        int(i): (phi, r)
+        for i, phi, r in zip(cells, np.arctan2(qy, qx).tolist(), np.hypot(qx, qy).tolist())
+        if grid[i] + ANGLE_TOL < phi < grid[i + 1] - ANGLE_TOL
+    }
 
     out_a: list[float] = []
     out_r: list[float] = []
 
     def emit(phi: float, r: float) -> None:
-        if r <= 1e-15:
+        if r <= 0.0:
             return
         if out_a and phi - out_a[-1] <= ANGLE_TOL:
-            if abs(r - out_r[-1]) <= 1e-11 * max(1.0, r, out_r[-1]):
+            if abs(r - out_r[-1]) <= 1e-11 * max(r, out_r[-1]):
                 out_r[-1] = max(out_r[-1], r)
                 return
             if len(out_a) >= 2 and out_a[-1] - out_a[-2] <= ANGLE_TOL:
                 out_r[-1] = r  # already a jump pair here; move its outer end
                 return
-        out_a.append(max(phi, out_a[-1]) if out_a else phi)
+        out_a.append(phi)
         out_r.append(r)
 
-    walk = _Walk(a, b, lo, hi)
-    for c_lo, c_hi, ja, jb, ra0, ra1, rb0, rb1 in walk.intervals():
-        emit(c_lo, max(ra0, rb0))
-        d0, d1 = ra0 - rb0, ra1 - rb1
-        if d0 * d1 < 0.0 and ja is not None and jb is not None:
-            pa = a.points
-            pb = b.points
-            q = _line_intersection(pa[ja], pa[ja + 1], pb[jb], pb[jb + 1])
-            if q is not None:
-                phi_x = math.atan2(q[1], q[0])
-                if c_lo + ANGLE_TOL < phi_x < c_hi - ANGLE_TOL:
-                    emit(phi_x, math.hypot(q[0], q[1]))
-        emit(c_hi, max(ra1, rb1))
+    # The grid ends lie at the ends of the supports, where the outer sides
+    # read 0 and emit nothing.
+    below = np.maximum(a_below, b_below).tolist()
+    above = np.maximum(a_above, b_above).tolist()
+    for i, phi in enumerate(grid.tolist()):
+        emit(phi, below[i])
+        emit(phi, above[i])
+        if i in crossings:
+            emit(*crossings[i])
 
     ang, rad = _prune_chain(out_a, out_r)
     return StarPolygon(np.array(ang), np.array(rad))
@@ -363,16 +306,16 @@ def containment_protrusion(
     """Worst radial excess of ``poly`` over ``region``.
 
     Non-positive means poly is contained (within tolerance); the value is the
-    maximum of r_poly - r_region over all candidate angles: every chain angle
-    of either input plus both one-sided limits at every grid cell boundary.
-    Between consecutive candidates both boundaries are straight segments, and
-    two distinct lines cross at most once, so the difference cannot become
-    positive strictly inside a cell while being non-positive at both ends.
-    ``window`` restricts the comparison to an angular band (used for the
-    separating-segment test).  Returns -inf when there is nothing to compare.
+    maximum of r_poly - r_region over the merged angle grid of both chains,
+    comparing the values at each grid angle and both one-sided limits inside
+    the compared band.  Between consecutive grid angles both boundaries are
+    straight segments, and two distinct lines cross at most once, so the
+    difference cannot become positive strictly inside a cell while being
+    non-positive at both ends.  ``window`` restricts the comparison to an
+    angular band (used for the separating-segment test).  Returns -inf when
+    there is nothing to compare.
     """
-    p0, p1 = poly.support
-    lo, hi = p0, p1
+    lo, hi = poly.support
     if window is not None:
         lo, hi = max(lo, window[0]), min(hi, window[1])
         if hi < lo - ANGLE_TOL:
@@ -380,17 +323,11 @@ def containment_protrusion(
     if hi < lo:
         lo = hi = 0.5 * (lo + hi)
 
-    best = -math.inf
-    walk = _Walk(poly, region, lo, hi)
-    # Exact radial extents at the grid angles (covers radial-jump edges and
-    # the degenerate single-ray polygon).
-    grid = np.array(walk.grid)
-    rp = np.atleast_1d(poly.radius_at(grid))
-    rr = np.atleast_1d(region.radius_at(grid))
-    best = max(best, float(np.max(rp - rr)))
-    for _, _, _, _, ra0, ra1, rb0, rb1 in walk.intervals():
-        best = max(best, ra0 - rb0, ra1 - rb1)
-    return best
+    grid = _grid(lo, hi, poly, region)
+    p_below, p_above, p_at = poly._sides(grid)
+    r_below, r_above, r_at = region._sides(grid)
+    excess = (p_at - r_at, (p_below - r_below)[1:], (p_above - r_above)[:-1])
+    return float(np.concatenate(excess).max())
 
 
 def region_contains(
@@ -456,10 +393,12 @@ def _transform_chain(
     src_area = 0.5 * abs(
         float(np.sum(radii[:-1] * radii[1:] * np.sin(np.diff(angles))))
     )
-    # Relative to each vertex's own radius: the map is homogeneous, so deep
-    # iterates may be small in absolute terms without any collapse.
+    # Relative to the piece's own scale: the map is homogeneous, so deep
+    # iterates may be small in absolute terms without any collapse.  A piece
+    # with area is one not thinner than EPS_GEOM against its squared radius.
+    has_area = src_area > EPS_GEOM * float(np.max(radii)) ** 2
     if np.any(r <= 1e-12 * radii):
-        if src_area > EPS_GEOM:
+        if has_area:
             raise DegenerateImageError("matrix collapsed a polygon piece onto the origin")
         r = np.maximum(r, 1e-300)
     ang = np.arctan2(pts[:, 1], pts[:, 0])
@@ -472,7 +411,8 @@ def _transform_chain(
         ang = ang[::-1]
         r = r[::-1]
     out = StarPolygon(ang, r)
-    if src_area > EPS_GEOM and out.area() < EPS_GEOM:
+    # The area ratio of a piece under one matrix is |det|.
+    if has_area and out.area() < EPS_GEOM * src_area:
         raise DegenerateImageError("near-singular matrix: image area collapsed")
     return out
 
@@ -552,8 +492,10 @@ def stability_iteration(
     """Run the containment/separation iteration from an arbitrary seed region.
 
     Exposed separately because the outcome is homogeneous: scaling the seed
-    leaves the decision unchanged (only m and k may shift).  The public
-    entry point ``ga92`` seeds with the unit triangle.
+    leaves the decision unchanged (only m and k may shift).  The seed is
+    first scaled to a largest radius of 1, the scale the containment slack
+    and the unit segment are set for, so ``omega_final`` is in that frame.
+    The public entry point ``ga92`` seeds with the unit triangle.
     """
     _check_certificate_regime(params)
     if m_max < 1:
@@ -563,28 +505,27 @@ def stability_iteration(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
 
+    residuals: list[float] = []
+    omega: StarRegion | None = None
+
+    def verdict(status, m=None, k=None, witness=None, note="") -> Ga92Verdict:
+        return Ga92Verdict(
+            status, m, k, m_max, k_max, witness, tuple(residuals), omega, note
+        )
+
     witnesses = [
         o
         for o in periodic_orbits_G(params, p_max=WITNESS_P_MAX)
         if o.lambda_value > LAMBDA_POS_TOL
     ]
     if witnesses:
-        worst = max(witnesses, key=lambda o: o.lambda_value)
-        return Ga92Verdict(
+        return verdict(
             CertificateStatus.INSTABILITY_WITNESS,
-            None,
-            None,
-            m_max,
-            k_max,
-            worst,
-            (),
-            None,
+            witness=max(witnesses, key=lambda o: o.lambda_value),
             note="periodic ray orbit with positive average log-stretch",
         )
 
-    delta = seed
-    omega = seed
-    residuals: list[float] = []
+    delta = omega = seed.scaled(1.0 / float(np.max(seed.radii)))
     for m in range(1, m_max + 1):
         delta = image_polygon(params, delta)
         omega = union_star(omega, delta)
@@ -596,15 +537,9 @@ def stability_iteration(
             # protrusions between the two thresholds sit too close to the
             # stability boundary to trust at this precision.
             if prot > EPS_GEOM / 10.0:
-                return Ga92Verdict(
+                return verdict(
                     CertificateStatus.NOT_DECIDED,
                     m,
-                    None,
-                    m_max,
-                    k_max,
-                    None,
-                    tuple(residuals),
-                    omega,
                     note="containment holds only marginally; parameters sit near the boundary",
                 )
             current = image_omega
@@ -612,36 +547,14 @@ def stability_iteration(
                 if k > 1:
                     current = image_polygon(params, current)
                 if separated_from_gamma(current):
-                    return Ga92Verdict(
-                        CertificateStatus.STABLE,
-                        m,
-                        k,
-                        m_max,
-                        k_max,
-                        None,
-                        tuple(residuals),
-                        omega,
-                    )
-            return Ga92Verdict(
+                    return verdict(CertificateStatus.STABLE, m, k)
+            return verdict(
                 CertificateStatus.NOT_DECIDED,
                 m,
-                None,
-                m_max,
-                k_max,
-                None,
-                tuple(residuals),
-                omega,
                 note="trapped region found but no iterate cleared the unit segment",
             )
-    return Ga92Verdict(
+    return verdict(
         CertificateStatus.NOT_DECIDED,
-        None,
-        None,
-        m_max,
-        k_max,
-        None,
-        tuple(residuals),
-        omega,
         note="no generation mapped into the accumulated region within the budget",
     )
 

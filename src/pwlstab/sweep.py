@@ -10,14 +10,12 @@ across workers.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import RegimeError
 from .maps import ORBIT_BUDGET, NormalForm2D
 from .polygons import CertificateStatus, ga92
 from .sphere import rho_sampled
@@ -111,11 +109,7 @@ def _asymptotic_row(args) -> tuple[int, list[int]]:
         if not params.tau_L < params.left_spiral_bound:
             out.append(-1)  # out of regime for the certificate
             continue
-        try:
-            verdict = ga92(params, m_max=m_max, k_max=k_max)
-        except (RegimeError, ValueError, ArithmeticError):
-            out.append(-1)
-            continue
+        verdict = ga92(params, m_max=m_max, k_max=k_max)
         if verdict.status is CertificateStatus.STABLE:
             out.append(verdict.m)
         else:

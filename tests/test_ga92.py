@@ -1,5 +1,6 @@
 """Polygon-iteration stability certificate and its supporting invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -111,6 +112,24 @@ class TestVerdicts:
             )
 
 
+class TestAcceptancePlane:
+    def test_outcomes_pinned(self):
+        # (status, m, k) over the 88 in-regime cells of the 16x8 acceptance
+        # plane, row-major with tau_L outer: 65 witness, 14 Stable and 9
+        # NotDecided cells.  A geometry change that flips any verdict, m or
+        # k changes this digest.
+        out = []
+        for tl in np.linspace(0.0, 3.5, 16):
+            for tr in np.linspace(-2.0, 1.0, 8):
+                params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
+                if params.tau_L < params.left_spiral_bound:
+                    v = ga92(params, m_max=30)
+                    out.append((v.status.value, v.m, v.k))
+        assert len(out) == 88
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "51d209233c06f51b3f4474e96ea5ba0440cea5b9f9c0dfe50280dc20da2adb9e"
+
+
 class TestVerdictInvariants:
     def test_stable_certificate_recheck(self):
         # replay the certified facts from the returned region: the region
@@ -136,12 +155,17 @@ class TestVerdictInvariants:
     def test_verdict_scale_free(self):
         # the seed triangle's size cannot matter for a homogeneous map;
         # only the iteration budget shifts, so give k room to grow
-        params = NormalForm2D(*PT_STABLE)
-        base = ga92(params, m_max=30)
-        for alpha in (0.25, 4.0):
-            seed = StarPolygon.unit_triangle().scaled(alpha)
-            v = stability_iteration(params, seed, m_max=30, k_max=5000)
-            assert v.status is base.status
+        cases = [
+            (PT_STABLE, CertificateStatus.STABLE, (0.25, 4.0)),
+            ((2.3, 1.4, -1.9, -1.2), CertificateStatus.NOT_DECIDED, (1e-12,)),
+        ]
+        for pt, status, alphas in cases:
+            params = NormalForm2D(*pt)
+            assert ga92(params, m_max=30).status is status
+            for alpha in alphas:
+                seed = StarPolygon.unit_triangle().scaled(alpha)
+                v = stability_iteration(params, seed, m_max=30, k_max=5000)
+                assert v.status is status
 
     def test_stable_point_has_fully_attracted_measure(self):
         est = rho_sampled(NormalForm2D(*PT_STABLE), n_samples=2000, seed=5)
@@ -168,6 +192,13 @@ class TestDeltaSequence:
         ds = delta_sequence(NormalForm2D(*PT_STABLE), 8)
         lens = [len(d.angles) for d in ds]
         assert all(b - a <= 2 for a, b in zip(lens, lens[1:]))
+
+    def test_deep_iterates_of_contracting_point(self):
+        # both |det| are 0.2: after many steps the images are tiny but
+        # not degenerate
+        ds = delta_sequence(NormalForm2D(*PT_CONTRACT), 40)
+        assert len(ds) == 41
+        assert 0.0 < ds[-1].area() < 1e-20
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,13 @@ from pwlstab import (
     union_star,
 )
 
-from conftest import FOLD_THETA_LAMBDA, PT_FOLD
+from conftest import (
+    FOLD_THETA_LAMBDA,
+    PT_CONTRACT,
+    PT_FOLD,
+    PT_STABLE,
+    PT_UNSTABLE,
+)
 
 HALF_PI = math.pi / 2
 
@@ -144,6 +150,11 @@ class TestUnion:
         assert containment_protrusion(u, a) <= 0.0 + 1e-12
         assert containment_protrusion(u, b) <= 0.0 + 1e-12
 
+    def test_touching_supports_make_jump_pair(self):
+        u = union_star(chain([0.0, 1.0], [1.0, 1.0]), chain([1.0, 2.0], [2.0, 2.0]))
+        assert np.array_equal(u.angles, [0.0, 1.0, 1.0, 2.0])
+        assert np.allclose(u.radii, [1.0, 1.0, 2.0, 2.0], rtol=0, atol=1e-15)
+
     def test_result_contains_both_inputs(self):
         a = chain([0.2, 1.1, 1.1, 2.9], [0.8, 1.7, 0.9, 1.2])
         b = chain([0.0, 0.7, 2.2], [1.1, 0.3, 2.5])
@@ -167,6 +178,13 @@ class TestContainment:
         # the candidate angles (here the chain corners, radius 1)
         assert containment_protrusion(tri, tri.scaled(0.25)) == pytest.approx(
             -0.75, abs=1e-12
+        )
+
+    def test_protrusion_across_jump_edge(self):
+        region = chain([0.0, math.pi / 4, math.pi / 4, HALF_PI], [1.0, 1.0, 2.0, 2.0])
+        poly = chain([0.5, 1.0], [1.5, 1.5])
+        assert containment_protrusion(region, poly) == pytest.approx(
+            0.5707762953932555, rel=1e-15
         )
 
     def test_protrusion_outside_support(self):
@@ -251,6 +269,17 @@ class TestImage:
         left = StarPolygon(*_slice(poly, HALF_PI, math.pi))
         bound = abs(params.delta_R) * right.area() + params.delta_L * left.area()
         assert img.area() <= bound + 1e-9
+
+    @pytest.mark.parametrize("s", [1e-20, 1e20])
+    def test_image_commutes_with_scaling(self, s):
+        # the map is homogeneous, so no threshold may depend on absolute size
+        poly = chain([0.0, 0.8, 2.1, 3.0], [1.0, 2.0, 1.5, 0.7])
+        for pt in (PT_FOLD, PT_STABLE, PT_UNSTABLE, PT_CONTRACT):
+            params = NormalForm2D(*pt)
+            img = image_polygon(params, poly)
+            small = image_polygon(params, poly.scaled(s))
+            assert np.allclose(small.angles, img.angles, rtol=0, atol=1e-12)
+            assert np.allclose(small.radii, s * img.radii, rtol=1e-12, atol=0)
 
     def test_degenerate_image_rejected(self):
         rank1 = np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -7,6 +7,7 @@ import pytest
 
 from pwlstab import sweep
 from pwlstab import (
+    DegenerateImageError,
     GridMode,
     GridResult,
     GridSpec,
@@ -118,6 +119,14 @@ class TestAsymptoticSweep:
         serial = sweep_asymptotic(spec, m_max=10, workers=1)
         forked = sweep_asymptotic(spec, m_max=10, workers=2)
         assert np.array_equal(serial.values, forked.values)
+
+    def test_cell_error_is_raised_not_recorded(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise DegenerateImageError("cell failed")
+
+        monkeypatch.setattr(sweep, "ga92", broken)
+        with pytest.raises(DegenerateImageError, match="cell failed"):
+            sweep_asymptotic(spec1(2.0, -0.8), m_max=30)
 
 
 class TestCsvOutput:
