@@ -204,9 +204,8 @@ def _grid(lo: float, hi: float, *chains: StarPolygon) -> np.ndarray:
     return v[np.append(True, np.diff(v) > ANGLE_TOL)]
 
 
-def _prune_chain(angles: list[float], radii: list[float]) -> tuple[list[float], list[float]]:
+def _prune_chain(a_out: list[float], r_out: list[float]) -> tuple[list[float], list[float]]:
     """Drop collinear interior points (distance to the chord within 1e-12 of scale)."""
-    a_out, r_out = angles, radii
     changed = True
     while changed and len(a_out) > 2:
         changed = False
