@@ -154,7 +154,7 @@ def _cmd_rho(args) -> int:
 
 def _cmd_ga92(args) -> int:
     params = _params(args)
-    verdict = ga92(params, m_max=args.m_max, k_max=args.k_max)
+    verdict = ga92(params, m_max=args.m_max)
     print(f"status={verdict.status.value}")
     if verdict.m is not None:
         print(f"m={verdict.m}")
@@ -196,9 +196,7 @@ def _cmd_sweep(args) -> int:
             workers=args.workers,
         )
     else:
-        result = sweep_asymptotic(
-            spec, m_max=args.m_max, k_max=args.k_max, workers=args.workers
-        )
+        result = sweep_asymptotic(spec, m_max=args.m_max, workers=args.workers)
     write_grid_csv(result, args.out)
     written = [str(args.out)]
     if args.pgm:
@@ -252,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ga92", help="polygon-iteration asymptotic stability certificate")
     _add_params(sp)
     sp.add_argument("--m-max", type=int, default=30)
-    sp.add_argument("--k-max", type=int, default=None)
     sp.set_defaults(func=_cmd_ga92)
 
     sp = sub.add_parser("polygons", help="dump iterated triangle images as CSV")
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0, help="measure mode: base seed")
     sp.add_argument("--budget", type=int, default=ORBIT_BUDGET, help="measure mode: orbit budget")
     sp.add_argument("--m-max", type=int, default=30)
-    sp.add_argument("--k-max", type=int, default=None)
     sp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     sp.set_defaults(func=_cmd_sweep)
 

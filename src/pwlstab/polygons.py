@@ -336,7 +336,7 @@ def region_contains(
     return containment_protrusion(region, poly) <= tol
 
 
-_GAMMA = StarPolygon(np.array([0.0, HALF_PI]), np.array([1.0, 1.0]))
+_GAMMA = StarPolygon.unit_triangle()
 
 
 def separated_from_gamma(poly: StarPolygon, clearance: float = EPS_GEOM) -> bool:
@@ -437,9 +437,9 @@ def image_polygon(m: NormalForm2D | PWLMap, poly: StarPolygon) -> StarPolygon:
         if ang[-1] - ang[0] > ANGLE_TOL or len(ang) > 1:
             pieces.append(_transform_chain(ang, rad, a_left))
     if not pieces:
-        # Degenerate input: a single ray (possibly exactly the switching ray).
-        pts = poly.points @ (a_right if lo >= HALF_PI - ANGLE_TOL else a_left).T
-        return StarPolygon.from_vertices(pts)
+        # A single ray: the x <= 0 rule of NormalForm2D.step picks its side.
+        a = a_left if lo >= HALF_PI else a_right
+        return _transform_chain(poly.angles, poly.radii, a)
     if len(pieces) == 1:
         return pieces[0]
     return union_star(pieces[0], pieces[1])
@@ -455,10 +455,11 @@ class CertificateStatus(Enum):
 class Ga92Verdict:
     """Outcome of the forward-image stability certificate.
 
-    ``m`` is the first generation whose accumulated region maps into itself,
-    ``k`` the first extra iterate that clears the unit segment; residuals
-    list the worst radial protrusion of the image at each generation tried.
-    An instability witness is a periodic ray orbit whose average log-stretch
+    ``m`` is the first generation whose accumulated region Omega_m (the
+    union of generations Delta_0 .. Delta_m) maps into itself, ``k`` the
+    first extra iterate that clears the unit segment; the residual at each
+    m tried is the worst radial protrusion of Delta_{m+1} over Omega_m.  An
+    instability witness is a periodic ray orbit whose average log-stretch
     is positive, which rules out Lyapunov stability outright.
     """
 
@@ -489,6 +490,15 @@ def stability_iteration(
     k_max: int | None = None,
 ) -> Ga92Verdict:
     """Run the containment/separation iteration from an arbitrary seed region.
+
+    The generations are Delta_0 = seed and Delta_i = g(Delta_{i-1}); their
+    running union Omega_m serves only as a containment target and is never
+    mapped.  Since g(Omega_m) = Delta_1 u ... u Delta_{m+1} and Delta_1 ..
+    Delta_m already lie in Omega_m, Omega_m maps into itself when Delta_{m+1}
+    does not protrude over it; that protrusion is the residual at m.  Then
+    g^k(Omega_m) = Delta_k u ... u Delta_{m+k}, so k is the first k >= 1 with
+    those m + 1 generations all clear of the unit segment, up to ``k_max``
+    (default 2 * m_max).
 
     Exposed separately because the outcome is homogeneous: scaling the seed
     leaves the decision unchanged (only m and k may shift).  The seed is
@@ -524,12 +534,17 @@ def stability_iteration(
             note="periodic ray orbit with positive average log-stretch",
         )
 
-    delta = omega = seed.scaled(1.0 / float(np.max(seed.radii)))
+    gens = [seed.scaled(1.0 / float(np.max(seed.radii)))]
+
+    def generation(i: int) -> StarPolygon:
+        while len(gens) <= i:
+            gens.append(image_polygon(params, gens[-1]))
+        return gens[i]
+
+    omega = gens[0]
     for m in range(1, m_max + 1):
-        delta = image_polygon(params, delta)
-        omega = union_star(omega, delta)
-        image_omega = image_polygon(params, omega)
-        prot = containment_protrusion(omega, image_omega)
+        omega = union_star(omega, generation(m))
+        prot = containment_protrusion(omega, generation(m + 1))
         residuals.append(prot)
         if prot <= EPS_GEOM:
             # Certify only with a margin well below the containment slack;
@@ -541,12 +556,13 @@ def stability_iteration(
                     m,
                     note="containment holds only marginally; parameters sit near the boundary",
                 )
-            current = image_omega
-            for k in range(1, k_max + 1):
-                if k > 1:
-                    current = image_polygon(params, current)
-                if separated_from_gamma(current):
-                    return verdict(CertificateStatus.STABLE, m, k)
+            # The first run of m + 1 consecutive clear generations after
+            # the seed ends at i = m + k.
+            run = 0
+            for i in range(1, m + k_max + 1):
+                run = run + 1 if separated_from_gamma(generation(i)) else 0
+                if run > m:
+                    return verdict(CertificateStatus.STABLE, m, i - m)
             return verdict(
                 CertificateStatus.NOT_DECIDED,
                 m,
@@ -558,18 +574,19 @@ def stability_iteration(
     )
 
 
-def ga92(params: NormalForm2D, m_max: int = 30, k_max: int | None = None) -> Ga92Verdict:
+def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
     """Decide asymptotic stability of the origin by forward polygon images.
 
     Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
     searches the periodic ray orbits of period <= WITNESS_P_MAX for an
-    instability witness; otherwise iterates the seed triangle, accumulating
-    the union and testing at each generation whether the union maps into
-    itself and, once it does, whether some further iterate clears the
-    segment from (1,0) to (0,1).  Both checks passing certifies asymptotic
-    stability; budgets exhausted means NotDecided.
+    instability witness; otherwise runs ``stability_iteration`` from the
+    unit triangle: its union Omega_m of generations maps into itself once
+    Delta_{m+1} does not protrude over it (the residual at m), and some
+    further iterate of Omega_m must clear the segment from (1,0) to (0,1).
+    Both checks passing certifies asymptotic stability; budgets exhausted
+    means NotDecided.
     """
-    return stability_iteration(params, StarPolygon.unit_triangle(), m_max, k_max)
+    return stability_iteration(params, StarPolygon.unit_triangle(), m_max)
 
 
 def delta_sequence(params: NormalForm2D | PWLMap, n: int) -> list[StarPolygon]:

@@ -129,8 +129,6 @@ def analyze(
     lambda_theta0: float = 0.0,
     rho_samples: int = 10_000,
     seed: int = 0,
-    m_max: int = 30,
-    k_max: int | None = None,
 ) -> AnalysisReport:
     """Run every applicable analysis at one parameter point."""
     parameters = {
@@ -209,7 +207,7 @@ def analyze(
 
     certificate = None
     if params.in_sign_regime and params.tau_L < params.left_spiral_bound:
-        certificate = _certificate_dict(ga92(params, m_max=m_max, k_max=k_max))
+        certificate = _certificate_dict(ga92(params))
 
     if certificate is not None:
         if certificate["status"] == CertificateStatus.STABLE.value:

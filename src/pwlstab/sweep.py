@@ -102,14 +102,14 @@ def _measure_row(args) -> tuple[int, list[float], list[float]]:
 
 
 def _asymptotic_row(args) -> tuple[int, list[int]]:
-    (i, tl, tr_values, dl, dr, m_max, k_max) = args
+    (i, tl, tr_values, dl, dr, m_max) = args
     out: list[int] = []
     for tr in tr_values:
         params = NormalForm2D(tl, dl, tr, dr)
         if not params.tau_L < params.left_spiral_bound:
             out.append(-1)  # out of regime for the certificate
             continue
-        verdict = ga92(params, m_max=m_max, k_max=k_max)
+        verdict = ga92(params, m_max=m_max)
         if verdict.status is CertificateStatus.STABLE:
             out.append(verdict.m)
         else:
@@ -152,7 +152,6 @@ def sweep_measure(
 def sweep_asymptotic(
     spec: GridSpec,
     m_max: int = 30,
-    k_max: int | None = None,
     workers: int = 1,
 ) -> GridResult:
     """Certificate sweep recording the smallest self-mapping generation m.
@@ -164,7 +163,7 @@ def sweep_asymptotic(
     tl_vals = spec.tau_L_values()
     tr_vals = tuple(float(t) for t in spec.tau_R_values())
     payloads = [
-        (i, float(tl), tr_vals, spec.delta_L, spec.delta_R, m_max, k_max)
+        (i, float(tl), tr_vals, spec.delta_L, spec.delta_R, m_max)
         for i, tl in enumerate(tl_vals)
     ]
     values = np.full((spec.nx, spec.ny), -1, dtype=np.int64)

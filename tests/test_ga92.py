@@ -95,6 +95,24 @@ class TestVerdicts:
             assert est.rho_hat == 1.0
             assert est.undecided_fraction == 0.0
 
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            (-1.0776586896746645, 0.8583293440774886, -1.4208927038059245, -0.15762718988548174),
+            (-0.9793373454261421, 1.1856121950301048, -1.8723008141051143, -0.10923893706190468),
+            (-0.91300769290359, 0.21510963595009863, -1.0174404909871324, -0.19367539190575722),
+        ],
+    )
+    def test_lossy_union_points_are_stable(self, pt):
+        # tau_L < 0 points where the accumulated union misses its own
+        # generations by up to 7e-7; mapping that union fed the loss
+        # forward, while the generations themselves decide these points
+        params = NormalForm2D(*pt)
+        assert ga92(params).status is CertificateStatus.STABLE
+        est = rho_sampled(params, n_samples=2000, seed=0)
+        assert est.rho_hat == 1.0
+        assert est.undecided_fraction == 0.0
+
     def test_rejects_rotating_left_half(self):
         with pytest.raises(RegimeError, match="2\\*sqrt"):
             ga92(NormalForm2D(2.5, 1.4, -0.5, -1.2))

@@ -281,6 +281,18 @@ class TestImage:
             assert np.allclose(small.angles, img.angles, rtol=0, atol=1e-12)
             assert np.allclose(small.radii, s * img.radii, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("phi", [0.3, 2.0, HALF_PI])
+    @pytest.mark.parametrize("r", [1.0, 1e-10])
+    def test_single_ray(self, phi, r):
+        # a ray in x > 0 takes the right matrix and one in x <= 0 the
+        # left, as in NormalForm2D.step, at any radius
+        params = NormalForm2D(2.0, 1.4, -0.8, -1.2)
+        img = image_polygon(params, chain([phi], [r]))
+        x, y = params.step_scalar(r * math.cos(phi), r * math.sin(phi))
+        assert img.angles.size == 1
+        assert img.angles[0] == pytest.approx(math.atan2(y, x), abs=1e-12)
+        assert img.radii[0] == pytest.approx(math.hypot(x, y), rel=1e-12)
+
     def test_degenerate_image_rejected(self):
         rank1 = np.array([[1.0, 1.0], [1.0, 1.0]])
         m = PWLMap(rank1, rank1, np.array([1.0, 0.0]))
