@@ -80,10 +80,11 @@ class NormalForm2D:
     the individual analyses check their own regime requirements
     (``delta_L > 0 > delta_R`` for the sphere decomposition work).
 
-    ``step`` and ``step_scalar`` are the one definition of the map's step
-    (x, y) -> (tau x + y, -delta x) used by the angular and sampled orbits:
-    points with x <= 0 take the left pair (tau_L, delta_L), the rest the
-    right pair.  Both sides agree on x = 0 up to the sign of a zero.
+    ``step``, ``step_scalar`` and ``advance`` are the one definition of the
+    map's step (x, y) -> (tau x + y, -delta x) used by the angular and
+    sampled orbits: points with x <= 0 take the left pair (tau_L, delta_L),
+    the rest the right pair.  Both sides agree on x = 0 up to the sign of a
+    zero.
     """
 
     tau_L: float
@@ -103,6 +104,16 @@ class NormalForm2D:
         if x <= 0.0:
             return self.tau_L * x + y, -self.delta_L * x
         return self.tau_R * x + y, -self.delta_R * x
+
+    def advance(self, x: float, y: float, k: int) -> tuple[float, float]:
+        """k steps of ``step_scalar`` from one point, bit for bit, in one call."""
+        tl, dl, tr, dr = self.tau_L, self.delta_L, self.tau_R, self.delta_R
+        for _ in range(k):
+            if x <= 0.0:
+                x, y = tl * x + y, -dl * x
+            else:
+                x, y = tr * x + y, -dr * x
+        return x, y
 
     def matrix(self, side: str) -> np.ndarray:
         if side == "left":

@@ -125,16 +125,37 @@ class MeasureEstimate:
     std_error: float
 
 
-def _batch_std_error(values: np.ndarray, n_batches: int = 100) -> float:
-    n = values.size
-    if n < 2:
-        return float("nan")
-    k = min(n_batches, n)
-    size = n // k
-    means = values[: k * size].reshape(k, size).mean(axis=1)
-    if k < 2:
-        return float(values.std(ddof=1) / math.sqrt(n))
-    return float(means.std(ddof=1) / math.sqrt(k))
+N_BATCHES = 100
+# A unit vector whose image is shorter than this counts as mapped to the origin.
+KERNEL_TOL = 1e-12
+# Bounds on a block of unnormalised steps; see _block_length.
+BLOCK_MAX = 32
+BLOCK_GROWTH = 1e12
+
+
+def _block_length(params: NormalForm2D) -> int:
+    """Steps between renormalisations of the Birkhoff orbit.
+
+    A side matrix [[tau, 1], [-delta, 0]] stretches a unit vector by at most
+    its Frobenius norm F = sqrt(tau^2 + 1 + delta^2) and by at least
+    |delta| / F, its determinant over that bound.  The block length is the
+    largest R <= BLOCK_MAX with (max F)^R <= BLOCK_GROWTH and
+    (min |delta| / F)^R >= KERNEL_TOL, and at least 1.  So a block of
+    R > 1 steps neither overflows nor shrinks a unit vector below the
+    kernel threshold, and no single step in it can either.
+    """
+    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+    bounds = [math.hypot(tau, 1.0, delta) for tau, delta in sides]
+    grow = max(bounds)
+    shrink = min(abs(delta) / f for (_, delta), f in zip(sides, bounds))
+    r, hi, lo = 1, grow, shrink
+    while r < BLOCK_MAX:
+        hi *= grow
+        lo *= shrink
+        if hi > BLOCK_GROWTH or lo < KERNEL_TOL:
+            break
+        r += 1
+    return r
 
 
 def birkhoff_lambda(
@@ -145,9 +166,20 @@ def birkhoff_lambda(
 ) -> MeasureEstimate:
     """Average ln D over n steps of the sphere map started at direction z0.
 
+    The sum telescopes: sum_{i<m} ln D(G^i z) = ln|g^m z| - ln|z|.  So the
+    orbit runs unnormalised for blocks of R steps (``NormalForm2D.advance``);
+    after each block one norm is taken, its log is added to the sum and the
+    vector is rescaled to unit length.  R comes from the side matrices
+    (``_block_length``): at most 32, and 1 when a single step may overflow
+    or shrink a unit vector below 1e-12.  A block norm below 1e-12 raises
+    ``ZeroImageError``, so the kernel check fires where a per-step check
+    would.
+
     The first ``burn_in`` steps are discarded so the average samples the
-    attractor rather than the transient.  The standard error comes from 100
-    batch means, which tolerates the serial correlation of the orbit.
+    attractor rather than the transient.  lambda_hat averages all n steps.
+    The standard error comes from min(100, n) batch means of n // batches
+    steps each, which tolerates the serial correlation of the orbit; the
+    n % batches tail steps count in lambda_hat only, and n = 1 gives nan.
     Deterministic: no randomness is involved.
     """
     if n <= 0:
@@ -158,22 +190,34 @@ def birkhoff_lambda(
         raise ValueError("z0 must be nonzero")
     z = z / r
 
-    logs = np.empty(n)
     zx, zy = float(z[0]), float(z[1])
-    step = params.step_scalar
-    log = math.log
-    hypot = math.hypot
-    for i in range(-burn_in, n):
-        wx, wy = step(zx, zy)
-        d = hypot(wx, wy)
-        if d < 1e-12:
-            raise ZeroImageError("orbit hit the kernel of a side matrix")
-        if i >= 0:
-            logs[i] = log(d)
-        zx = wx / d
-        zy = wy / d
+    block = _block_length(params)
 
-    return MeasureEstimate(float(logs.mean()), n, burn_in, _batch_std_error(logs))
+    def log_stretch(steps: int) -> float:
+        """Sum of ln D over the next ``steps`` steps of the unit orbit."""
+        nonlocal zx, zy
+        total = 0.0
+        while steps > 0:
+            k = min(block, steps)
+            wx, wy = params.advance(zx, zy, k)
+            d = math.hypot(wx, wy)
+            if d < KERNEL_TOL:
+                raise ZeroImageError("orbit hit the kernel of a side matrix")
+            total += math.log(d)
+            zx = wx / d
+            zy = wy / d
+            steps -= k
+        return total
+
+    log_stretch(burn_in)
+    batches = min(N_BATCHES, n)
+    size = n // batches
+    sums = [log_stretch(size) for _ in range(batches)]
+    lambda_hat = math.fsum(sums + [log_stretch(n - batches * size)]) / n
+    std_error = float("nan")
+    if batches > 1:
+        std_error = float(np.std(np.array(sums) / size, ddof=1) / math.sqrt(batches))
+    return MeasureEstimate(lambda_hat, n, burn_in, std_error)
 
 
 @dataclass(frozen=True)

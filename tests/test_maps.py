@@ -100,6 +100,19 @@ class TestNormalFormStep:
         assert np.array(sx).tobytes() == ax.tobytes()
         assert np.array(sy).tobytes() == ay.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 7, 32])
+    def test_advance_is_repeated_step_bit_for_bit(self, k):
+        rng = np.random.default_rng(5)
+        x = np.concatenate((rng.normal(size=200), [0.0, -0.0, 5e-324, -5e-324]))
+        y = np.concatenate((rng.normal(size=200), [1.5, -2.5, 0.7, -0.3]))
+        for a, b in zip(x.tolist(), y.tolist()):
+            sx, sy = a, b
+            for _ in range(k):
+                sx, sy = self.params.step_scalar(sx, sy)
+            # tobytes tells -0.0 from 0.0
+            got = np.array(self.params.advance(a, b, k)).tobytes()
+            assert got == np.array([sx, sy]).tobytes()
+
     def test_x_nonpositive_takes_left_pair(self):
         p = self.params
         for x in (-1.0, -5e-324, -0.0, 0.0):

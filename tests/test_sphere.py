@@ -17,6 +17,7 @@ from conftest import (
     P3_CONTRACTING_LAMBDA,
     P3_EXPANDING,
     P3_EXPANDING_LAMBDA,
+    PT_CONTRACT,
     PT_FOLD,
     PT_STABLE,
     PT_UNSTABLE,
@@ -42,6 +43,7 @@ from pwlstab import (
     periodic_orbits_G,
     sphere_eval,
 )
+from pwlstab.sphere import _block_length
 
 
 def u(theta: float) -> np.ndarray:
@@ -232,8 +234,8 @@ class TestBirkhoff:
         a = birkhoff_lambda(params, u(0.5), n=20_000)
         b = birkhoff_lambda(params, u(0.5), n=20_000)
         assert a == b
-        assert a.lambda_hat == -0.16017808735634326
-        assert a.std_error == 0.0006856464300350601
+        assert a.lambda_hat == -0.1588868440737838
+        assert a.std_error == 0.0006139777611926286
 
     def test_factorization_consistency(self):
         # exp(sum ln D) must reproduce |g^n(z)| (checked at n = 60 here;
@@ -252,6 +254,82 @@ class TestBirkhoff:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             birkhoff_lambda(NormalForm2D(*PT_STABLE), u(0.3), n=0)
+
+    def test_block_length_follows_side_bounds(self):
+        # PT_STABLE: the left bound sqrt(6.96) reaches 1e12 between 28 and 29 steps
+        assert _block_length(NormalForm2D(*PT_STABLE)) == 28
+        assert _block_length(NormalForm2D(*PT_UNSTABLE)) == 32
+        assert _block_length(NormalForm2D(1e12, 1.0, 1e12, -1.0)) == 1
+        assert _block_length(NormalForm2D(0.0, 1e-14, 0.0, -1e-14)) == 1
+
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            ((1e12, 1.0, 1e12, -1.0), 27.631021115928544),
+            ((1e10, 1.0, -1e10, -1.0), 23.02585092994045),
+        ],
+    )
+    def test_scale_safe(self, params, expected):
+        # one step stretches by ~1e12 or ~1e10, so a block of several
+        # unnormalised steps would overflow; the per-step values are pinned
+        est = birkhoff_lambda(NormalForm2D(*params), np.array([1.0, 0.0]), n=100_000)
+        assert math.isfinite(est.lambda_hat)
+        assert est.lambda_hat == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params", [(1.0, 1.0, 0.0, 0.0), (0.0, 1e-14, 0.0, -1e-14)]
+    )
+    def test_kernel_hit_raises(self, params):
+        # (1, 0) maps exactly to the origin, or to a vector of length 1e-14
+        with pytest.raises(ZeroImageError):
+            birkhoff_lambda(NormalForm2D(*params), np.array([1.0, 0.0]), n=1000)
+
+    def test_single_step_has_no_error_bar(self):
+        est = birkhoff_lambda(NormalForm2D(*PT_STABLE), u(0.5), n=1)
+        assert math.isfinite(est.lambda_hat)
+        assert math.isnan(est.std_error)
+
+    def test_tail_steps_count_in_mean_only(self):
+        # n = 150 makes 100 batches of one step and a tail of 50.  The
+        # circle orbit at PT_CONTRACT is well conditioned over these steps,
+        # so the generic per-step route gives the same logs to rounding.
+        params = NormalForm2D(*PT_CONTRACT)
+        m = params.pwl()
+        z, logs = u(0.4), []
+        for _ in range(150):
+            ev = sphere_eval(m, z)
+            logs.append(math.log(ev.d_value))
+            z = ev.g_point
+        logs = np.array(logs)
+        est = birkhoff_lambda(params, u(0.4), n=150, burn_in=0)
+        assert est.lambda_hat == pytest.approx(logs.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(logs[:100].std(ddof=1) / 10.0, rel=1e-12)
+        assert est.std_error != pytest.approx(logs.std(ddof=1) / math.sqrt(150), rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "point, theta, n",
+        [
+            # the start is on an orbit where 60 steps are well conditioned:
+            # from u(0.9) any float route, per-step normalised or not, is
+            # 2.7e-9 off the exact rational value of ln|g^60 z|
+            (PT_UNSTABLE, P3_EXPANDING[0], 60),
+            # 3200 steps run in blocks of 24 and 8 (32 per batch)
+            (PT_FOLD, FOLD_THETA_L_PLUS + 0.01, 3200),
+        ],
+    )
+    def test_sum_telescopes_to_log_norm(self, point, theta, n):
+        # n * lambda_hat = ln|g^n z0| for a unit z0, with g^n from the generic
+        # route; exact power-of-two rescaling keeps the iterate in range
+        params = NormalForm2D(*point)
+        m = params.pwl()
+        x, exponent = u(theta), 0
+        for _ in range(n):
+            x = eval_pwl(m, x)
+            _, e = math.frexp(float(np.abs(x).max()))
+            x, exponent = np.ldexp(x, -e), exponent + e
+        log_norm = math.log(float(np.linalg.norm(x))) + exponent * math.log(2.0)
+        est = birkhoff_lambda(params, u(theta), n=n, burn_in=0)
+        assert n * est.lambda_hat == pytest.approx(log_norm, rel=1e-10)
 
 
 class TestHistogram:
