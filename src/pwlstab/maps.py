@@ -135,6 +135,11 @@ class NormalForm2D:
         """tau_L threshold 2*sqrt(delta_L) separating rotation from invariant rays."""
         return 2.0 * math.sqrt(self.delta_L) if self.delta_L > 0 else math.inf
 
+    @property
+    def in_certificate_regime(self) -> bool:
+        """delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L): where ga92 applies."""
+        return self.in_sign_regime and self.tau_L < self.left_spiral_bound
+
 
 def make_normal_form(
     tau_L: float, delta_L: float, tau_R: float, delta_R: float
@@ -178,13 +183,11 @@ def orbit(
     step: StepFunction,
     x0: np.ndarray,
     budget: int = ORBIT_BUDGET,
-    conv_radius: float = CONV_RADIUS,
-    div_radius: float = DIV_RADIUS,
 ) -> OrbitVerdict:
     """Iterate ``step`` from x0 and classify convergence to the origin.
 
-    Thresholds are relative to |x0|: converged once |x_n| < conv_radius*|x0|,
-    diverged once |x_n| > div_radius*|x0| or the iterate stops being finite.
+    Thresholds are relative to |x0|: converged once |x_n| < CONV_RADIUS*|x0|,
+    diverged once |x_n| > DIV_RADIUS*|x0| or the iterate stops being finite.
     ``step`` may be a PWLMap or any callable x -> x'.
     """
     if budget < 0:
@@ -195,8 +198,8 @@ def orbit(
     if norm0 == 0.0:
         return OrbitVerdict(OrbitStatus.CONVERGED, 0, 0.0, 0.0)
 
-    lo = conv_radius * norm0
-    hi = div_radius * norm0
+    lo = CONV_RADIUS * norm0
+    hi = DIV_RADIUS * norm0
     lognorms = [math.log(norm0)]
     status = OrbitStatus.UNDECIDED
     steps = 0

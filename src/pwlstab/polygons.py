@@ -364,20 +364,6 @@ def _resolve_matrices(m: NormalForm2D | PWLMap) -> tuple[np.ndarray, np.ndarray]
     raise TypeError("expected NormalForm2D or PWLMap")
 
 
-def _slice_chain(poly: StarPolygon, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Chain of the sub-region with angles in [lo, hi], interpolating the cuts."""
-    mask = (poly.angles >= lo - ANGLE_TOL) & (poly.angles <= hi + ANGLE_TOL)
-    ang = list(poly.angles[mask])
-    rad = list(poly.radii[mask])
-    if not ang or ang[0] > lo + ANGLE_TOL:
-        ang.insert(0, lo)
-        rad.insert(0, poly.radius_at(lo))
-    if ang[-1] < hi - ANGLE_TOL:
-        ang.append(hi)
-        rad.append(poly.radius_at(hi))
-    return np.array(ang), np.array(rad)
-
-
 def _transform_chain(
     angles: np.ndarray, radii: np.ndarray, a: np.ndarray
 ) -> StarPolygon:
@@ -426,16 +412,25 @@ def image_polygon(m: NormalForm2D | PWLMap, poly: StarPolygon) -> StarPolygon:
     radially, again by homogeneity.
     """
     a_left, a_right = _resolve_matrices(m)
+    ang, rad = poly.angles, poly.radii
     lo, hi = poly.support
+    # Chain points within ANGLE_TOL of the switching ray belong to both halves.
+    to_right = ang <= HALF_PI + ANGLE_TOL
+    to_left = ang >= HALF_PI - ANGLE_TOL
+    r_ang, r_rad = ang[to_right], rad[to_right]
+    l_ang, l_rad = ang[to_left], rad[to_left]
+    spans_right = lo < HALF_PI - ANGLE_TOL
+    spans_left = hi > HALF_PI + ANGLE_TOL
+    if spans_right and spans_left and not np.any(to_right & to_left):
+        # An edge crosses the ray: both halves end at its one point there.
+        cut = poly.radius_at(HALF_PI)
+        r_ang, r_rad = np.append(r_ang, HALF_PI), np.append(r_rad, cut)
+        l_ang, l_rad = np.append(HALF_PI, l_ang), np.append(cut, l_rad)
     pieces: list[StarPolygon] = []
-    if lo < HALF_PI - ANGLE_TOL:
-        ang, rad = _slice_chain(poly, lo, min(hi, HALF_PI))
-        if ang[-1] - ang[0] > ANGLE_TOL or len(ang) > 1:
-            pieces.append(_transform_chain(ang, rad, a_right))
-    if hi > HALF_PI + ANGLE_TOL:
-        ang, rad = _slice_chain(poly, max(lo, HALF_PI), hi)
-        if ang[-1] - ang[0] > ANGLE_TOL or len(ang) > 1:
-            pieces.append(_transform_chain(ang, rad, a_left))
+    if spans_right and r_ang.size > 1:
+        pieces.append(_transform_chain(r_ang, r_rad, a_right))
+    if spans_left and l_ang.size > 1:
+        pieces.append(_transform_chain(l_ang, l_rad, a_left))
     if not pieces:
         # A single ray: the x <= 0 rule of NormalForm2D.step picks its side.
         a = a_left if lo >= HALF_PI else a_right
@@ -475,12 +470,11 @@ class Ga92Verdict:
 
 
 def _check_certificate_regime(params: NormalForm2D) -> None:
-    if not (params.delta_L > 0.0 and params.delta_R < 0.0):
+    if params.in_certificate_regime:
+        return
+    if not params.in_sign_regime:
         raise RegimeError("certificate requires delta_L > 0 and delta_R < 0")
-    if not params.tau_L < params.left_spiral_bound:
-        raise RegimeError(
-            "certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)"
-        )
+    raise RegimeError("certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)")
 
 
 def stability_iteration(

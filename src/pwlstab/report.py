@@ -4,19 +4,22 @@ Pulls together the eigen data, circle-map fixed points, regime
 classification, attracted-fraction estimate, Birkhoff average and (when the
 certificate applies) the polygon stability verdict, then condenses them into
 one overall summary.  Every field is built from plain dicts/lists/floats so
-a report survives a JSON round trip unchanged.
+a report survives a JSON round trip unchanged; the fixed-point, regime,
+Lyapunov and certificate blocks are the engines' own records, converted
+field by field, so a field added to one of them reaches the report as is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
 from .errors import RegimeError
 from .maps import NormalForm2D, eig2
-from .polygons import CertificateStatus, Ga92Verdict, ga92
+from .polygons import CertificateStatus, ga92
 from .sphere import (
     birkhoff_lambda,
     classify_regimes,
@@ -28,6 +31,16 @@ from .sphere import (
 # Monte-Carlo runs with more than this fraction of budget-exhausted samples
 # say nothing conclusive about the remaining mass.
 UNDECIDED_SUMMARY_CAP = 0.1
+
+# The Birkhoff average runs from angle LAMBDA_THETA0 for LAMBDA_ITERS steps
+# after LAMBDA_BURN_IN discarded ones; the sampled attracted fraction, where
+# no closed form applies, classifies RHO_SAMPLES directions drawn from
+# RHO_SEED.
+LAMBDA_ITERS = 100_000
+LAMBDA_BURN_IN = 1_000
+LAMBDA_THETA0 = 0.0
+RHO_SAMPLES = 10_000
+RHO_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -50,29 +63,26 @@ class AnalysisReport:
     summary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "eigen": self.eigen,
-            "fixed_points": self.fixed_points,
-            "regime": self.regime,
-            "rho": self.rho,
-            "lyapunov": self.lyapunov,
-            "certificate": self.certificate,
-            "summary": self.summary,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(
-            parameters=d["parameters"],
-            eigen=d["eigen"],
-            fixed_points=d["fixed_points"],
-            regime=d["regime"],
-            rho=d["rho"],
-            lyapunov=d["lyapunov"],
-            certificate=d["certificate"],
-            summary=d["summary"],
-        )
+        return cls(**d)
+
+
+def _plain(x, omit: tuple[str, ...] = ()):
+    """JSON-plain copy of a record: a dataclass becomes the dict of its
+    fields (less those named in ``omit``), an Enum its value, a tuple or
+    list a list and a numpy scalar a Python scalar."""
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x) if f.name not in omit}
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
 
 
 def _eigen_side(params: NormalForm2D, side: str) -> dict:
@@ -90,27 +100,6 @@ def _eigen_side(params: NormalForm2D, side: str) -> dict:
     }
 
 
-def _certificate_dict(v: Ga92Verdict) -> dict:
-    witness = None
-    if v.witness is not None:
-        witness = {
-            "thetas": [float(t) for t in v.witness.thetas],
-            "period": int(v.witness.period),
-            "lambda_value": float(v.witness.lambda_value),
-            "multiplier": float(v.witness.multiplier),
-        }
-    return {
-        "status": v.status.value,
-        "m": None if v.m is None else int(v.m),
-        "k": None if v.k is None else int(v.k),
-        "m_max": int(v.m_max),
-        "k_max": int(v.k_max),
-        "witness": witness,
-        "containment_residuals": [float(r) for r in v.containment_residuals],
-        "note": v.note,
-    }
-
-
 def _summary_from_rho(rho: dict) -> dict:
     if rho["method"] == "closed_form":
         return {"kind": "MeasureRho", "rho": rho["value"]}
@@ -122,14 +111,7 @@ def _summary_from_rho(rho: dict) -> dict:
     return {"kind": "MeasureRho", "rho": rho["value"]}
 
 
-def analyze(
-    params: NormalForm2D,
-    lambda_iters: int = 100_000,
-    lambda_burn_in: int = 1_000,
-    lambda_theta0: float = 0.0,
-    rho_samples: int = 10_000,
-    seed: int = 0,
-) -> AnalysisReport:
+def analyze(params: NormalForm2D) -> AnalysisReport:
     """Run every applicable analysis at one parameter point."""
     parameters = {
         "tau_L": float(params.tau_L),
@@ -145,43 +127,13 @@ def analyze(
     fixed_points: list = []
     regime = None
     if params.in_sign_regime:
-        fixed_points = [
-            {
-                "theta": float(fp.theta),
-                "multiplier": float(fp.multiplier),
-                "side": fp.side,
-                "branch": fp.branch,
-            }
-            for fp in g_fixed_points(params)
-        ]
-        rep = classify_regimes(params)
-        regime = {
-            "left_regime": rep.left_regime,
-            "left_fixed_points": (
-                None
-                if rep.left_fixed_points is None
-                else [float(t) for t in rep.left_fixed_points]
-            ),
-            "right_fixed_point": float(rep.right_fixed_point),
-            "right_multiplier": float(rep.right_multiplier),
-            "right_attracting": bool(rep.right_attracting),
-            "theta_Lambda": float(rep.theta_Lambda),
-            "lambda_invariant": bool(rep.lambda_invariant),
-            "lambda_absorbing": bool(rep.lambda_absorbing),
-            "warnings": list(rep.warnings),
-        }
+        fixed_points = _plain(g_fixed_points(params))
+        regime = _plain(classify_regimes(params))
 
-    lyapunov = None
     try:
-        z0 = np.array([math.cos(lambda_theta0), math.sin(lambda_theta0)])
-        est = birkhoff_lambda(params, z0, n=lambda_iters, burn_in=lambda_burn_in)
-        lyapunov = {
-            "lambda_hat": float(est.lambda_hat),
-            "std_error": float(est.std_error),
-            "n_used": int(est.n_used),
-            "burn_in": int(est.burn_in),
-            "theta0": float(lambda_theta0),
-        }
+        z0 = np.array([math.cos(LAMBDA_THETA0), math.sin(LAMBDA_THETA0)])
+        est = birkhoff_lambda(params, z0, n=LAMBDA_ITERS, burn_in=LAMBDA_BURN_IN)
+        lyapunov = {**_plain(est), "theta0": LAMBDA_THETA0}
     except ArithmeticError:
         lyapunov = None  # orbit hit an exact-kernel direction; rare and fatal only here
 
@@ -196,7 +148,7 @@ def analyze(
             "seed": None,
         }
     except (RegimeError, ArithmeticError):
-        est_rho = rho_sampled(params, n_samples=rho_samples, seed=seed)
+        est_rho = rho_sampled(params, n_samples=RHO_SAMPLES, seed=RHO_SEED)
         rho = {
             "method": "sampled",
             "value": float(est_rho.rho_hat),
@@ -206,13 +158,13 @@ def analyze(
         }
 
     certificate = None
-    if params.in_sign_regime and params.tau_L < params.left_spiral_bound:
-        certificate = _certificate_dict(ga92(params))
-
-    if certificate is not None:
-        if certificate["status"] == CertificateStatus.STABLE.value:
+    if params.in_certificate_regime:
+        # The final accumulated region is geometry, not part of the report.
+        verdict = ga92(params)
+        certificate = _plain(verdict, omit=("omega_final",))
+        if verdict.status is CertificateStatus.STABLE:
             summary = {"kind": "ExponentiallyStable", "rho": 1.0}
-        elif certificate["status"] == CertificateStatus.INSTABILITY_WITNESS.value:
+        elif verdict.status is CertificateStatus.INSTABILITY_WITNESS:
             summary = {"kind": "Unstable", "rho": None}
         else:
             summary = {"kind": "Undecided", "rho": None}

@@ -30,9 +30,6 @@ EPS_ANGLE = 1e-9
 DEFAULT_BURN_IN = 1_000
 DEFAULT_ITERS = 1_000_000
 
-# An angle theta in [0, pi) represents the ray (cos theta, sin theta).
-CircleState = float
-
 
 @dataclass(frozen=True)
 class SphereMapEval:
@@ -422,13 +419,11 @@ def rho_sampled(
     n_samples: int = 10_000,
     orbit_budget: int = ORBIT_BUDGET,
     seed: int = 0,
-    conv_radius: float = CONV_RADIUS,
-    div_radius: float = DIV_RADIUS,
 ) -> RhoEstimate:
     """Classify orbits of uniformly random unit directions, vectorized.
 
     Matches ``orbit``'s thresholds on unit starting points: converged when
-    the norm drops below conv_radius, diverged above div_radius or on
+    the norm drops below CONV_RADIUS, diverged above DIV_RADIUS or on
     non-finite values; anything still alive after the budget is undecided.
     Deterministic for a fixed seed.
     """
@@ -450,8 +445,8 @@ def rho_sampled(
             break
         x, y = params.step(x, y)
         sq = x * x + y * y
-        conv = sq < conv_radius * conv_radius
-        done = conv | ~np.isfinite(sq) | (sq > div_radius * div_radius)
+        conv = sq < CONV_RADIUS * CONV_RADIUS
+        done = conv | ~np.isfinite(sq) | (sq > DIV_RADIUS * DIV_RADIUS)
         if np.any(done):
             n_conv += int(conv.sum())
             x = x[~done]

@@ -106,8 +106,8 @@ def _asymptotic_row(args) -> tuple[int, list[int]]:
     out: list[int] = []
     for tr in tr_values:
         params = NormalForm2D(tl, dl, tr, dr)
-        if not params.tau_L < params.left_spiral_bound:
-            out.append(-1)  # out of regime for the certificate
+        if not params.in_certificate_regime:
+            out.append(-1)
             continue
         verdict = ga92(params, m_max=m_max)
         if verdict.status is CertificateStatus.STABLE:

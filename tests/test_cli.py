@@ -1,8 +1,10 @@
 """End-to-end command-line checks through fresh interpreter processes."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,37 @@ from conftest import FOLD_RHO
 STABLE_ARGS = ["--tl", "2", "--dl", "1.4", "--tr", "-0.8", "--dr", "-1.2"]
 FOLD_ARGS = ["--tl", "2.5", "--dl", "1.4", "--tr", "-0.5", "--dr", "-1.2"]
 UNSTABLE_ARGS = ["--tl", "1.4", "--dl", "1.4", "--tr", "-1.4", "--dr", "-1.2"]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Key paths of `analyze --json`; the items of a list of dicts share its path.
+REPORT_KEYS = {
+    "parameters", "parameters.tau_L", "parameters.delta_L", "parameters.tau_R",
+    "parameters.delta_R",
+    "eigen", "eigen.left", "eigen.left.values", "eigen.left.angles",
+    "eigen.left.degenerate", "eigen.right", "eigen.right.values",
+    "eigen.right.angles", "eigen.right.degenerate",
+    "fixed_points", "fixed_points.theta", "fixed_points.multiplier",
+    "fixed_points.side", "fixed_points.branch",
+    "regime", "regime.left_regime", "regime.left_fixed_points",
+    "regime.right_fixed_point", "regime.right_multiplier",
+    "regime.right_attracting", "regime.theta_Lambda", "regime.lambda_invariant",
+    "regime.lambda_absorbing", "regime.warnings",
+    "rho", "rho.method", "rho.value", "rho.undecided", "rho.n_samples", "rho.seed",
+    "lyapunov", "lyapunov.lambda_hat", "lyapunov.std_error", "lyapunov.n_used",
+    "lyapunov.burn_in", "lyapunov.theta0",
+    "certificate",
+    "summary", "summary.kind", "summary.rho",
+}
+CERTIFICATE_KEYS = {
+    "certificate.status", "certificate.m", "certificate.k", "certificate.m_max",
+    "certificate.k_max", "certificate.witness", "certificate.containment_residuals",
+    "certificate.note",
+}
+WITNESS_KEYS = {
+    "certificate.witness.thetas", "certificate.witness.period",
+    "certificate.witness.lambda_value", "certificate.witness.multiplier",
+}
 
 
 def run_cli(*args, check=True):
@@ -35,7 +68,46 @@ def parse_kv(stdout: str) -> dict:
     return pairs
 
 
+def key_paths(d: dict, prefix: str = "") -> set[str]:
+    paths = set()
+    for key, value in d.items():
+        paths.add(prefix + key)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, dict):
+                paths |= key_paths(item, f"{prefix}{key}.")
+    return paths
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, stdout) of each `$ pwlstab ...` example in the README: the
+    lines after the command, up to a blank line or the end of its block."""
+    examples = []
+    lines = None
+    for line in README.read_text().splitlines():
+        if line.startswith("$ pwlstab "):
+            lines = []
+            examples.append((line[2:], lines))
+        elif lines is not None and line and not line.startswith("```"):
+            lines.append(line)
+        else:
+            lines = None
+    return [(command, "".join(f"{line}\n" for line in out)) for command, out in examples]
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (UNSTABLE_ARGS, REPORT_KEYS | CERTIFICATE_KEYS | WITNESS_KEYS),
+            (STABLE_ARGS, REPORT_KEYS | CERTIFICATE_KEYS),
+            (FOLD_ARGS, REPORT_KEYS),
+        ],
+        ids=["witness", "stable", "closed_form"],
+    )
+    def test_json_key_paths(self, args, expected):
+        out = run_cli("analyze", *args, "--json")
+        assert key_paths(json.loads(out.stdout)) == expected
+
     def test_json_round_trip(self):
         out = run_cli("analyze", *STABLE_ARGS, "--json")
         d = json.loads(out.stdout)
@@ -136,6 +208,14 @@ class TestSweepCommand:
         run_cli(*self.ARGS, "--out", str(c1), "--workers", "1")
         run_cli(*self.ARGS, "--out", str(c2), "--workers", "2")
         assert c1.read_bytes() == c2.read_bytes()
+
+
+class TestReadme:
+    def test_examples_print_what_they_show(self):
+        examples = readme_examples()
+        assert examples
+        for command, expected in examples:
+            assert run_cli(*shlex.split(command)[1:]).stdout == expected, command
 
 
 class TestExitCodes:
