@@ -8,6 +8,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import RegimeError
-from .maps import NormalForm2D, ORBIT_BUDGET
+from .maps import NormalForm2D
 from .polygons import delta_sequence, ga92, write_polygon_csv
 from .report import analyze
 from .sphere import (
@@ -140,11 +141,11 @@ def _cmd_hist(args) -> int:
 def _cmd_rho(args) -> int:
     params = _params(args)
     try:
-        value = rho_closed_form(params)
-        print(f"rho_closed_form={value!r}")
+        closed_form = f"rho_closed_form={rho_closed_form(params)!r}"
     except (RegimeError, ArithmeticError) as exc:
-        print(f"rho_closed_form=unavailable reason={str(exc)!r}")
+        closed_form = f"rho_closed_form=unavailable reason={str(exc)!r}"
     est = rho_sampled(params, n_samples=args.samples, seed=args.seed)
+    print(closed_form)
     print(f"rho_sampled={est.rho_hat!r}")
     print(f"undecided={est.undecided_fraction!r}")
     print(f"n_samples={est.n_samples}")
@@ -189,11 +190,7 @@ def _cmd_sweep(args) -> int:
     )
     if args.mode == "measure":
         result = sweep_measure(
-            spec,
-            samples_per_cell=args.samples,
-            orbit_budget=args.budget,
-            base_seed=args.seed,
-            workers=args.workers,
+            spec, samples_per_cell=args.samples, base_seed=args.seed, workers=args.workers
         )
     else:
         result = sweep_asymptotic(spec, m_max=args.m_max, workers=args.workers)
@@ -211,7 +208,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``main`` may run many times in-process."""
     p = argparse.ArgumentParser(
         prog="pwlstab",
         description=(
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pgm", default=None, help="also write an 8-bit PGM image here")
     sp.add_argument("--samples", type=int, default=100, help="measure mode: samples per cell")
     sp.add_argument("--seed", type=int, default=0, help="measure mode: base seed")
-    sp.add_argument("--budget", type=int, default=ORBIT_BUDGET, help="measure mode: orbit budget")
     sp.add_argument("--m-max", type=int, default=30)
     sp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     sp.set_defaults(func=_cmd_sweep)

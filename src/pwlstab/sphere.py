@@ -564,7 +564,7 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
     out: list[PeriodicOrbit] = []
     for word in _lyndon_words(p_max):
         p = len(word)
-        ax, ay, bx, by = _word_product(sides, word)
+        ax, ay, bx, by = product = _word_product(sides, word)
         half_tr = 0.5 * (ax + by)
         det = ax * by - bx * ay
         disc = half_tr * half_tr - det
@@ -579,7 +579,8 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
             thetas: list[float] = []
             d_vals: list[float] = []
             for i, s in enumerate(word):
-                z = _eigenray(_word_product(sides, word[i:] + word[:i]), mu)
+                rotated = _word_product(sides, word[i:] + word[:i]) if i else product
+                z = _eigenray(rotated, mu)
                 # z[0] is the cosine of the angle; both sides own the ray x = 0.
                 if z is None or ((z[0] > EPS_ANGLE) if s == 0 else (z[0] < -EPS_ANGLE)):
                     break

@@ -13,10 +13,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .maps import ORBIT_BUDGET, NormalForm2D
+from .maps import NormalForm2D
 from .polygons import CertificateStatus, ga92
 from .sphere import rho_sampled
 
@@ -62,6 +63,13 @@ class GridSpec:
     def tau_R_values(self) -> np.ndarray:
         return np.linspace(self.tau_R_range[0], self.tau_R_range[1], self.ny)
 
+    def params(self, i: int, j: int) -> NormalForm2D:
+        """The map at cell (i, j): tau_L index i, tau_R index j."""
+        return NormalForm2D(
+            float(self.tau_L_values()[i]), self.delta_L,
+            float(self.tau_R_values()[j]), self.delta_R,
+        )
+
 
 class GridMode(Enum):
     MEASURE = "measure"
@@ -85,90 +93,56 @@ class GridResult:
     m_max: int | None = None
 
 
-def _measure_row(args) -> tuple[int, list[float], list[float]]:
-    (i, tl, tr_values, dl, dr, samples, budget, base_seed) = args
-    fr: list[float] = []
-    un: list[float] = []
-    for j, tr in enumerate(tr_values):
-        est = rho_sampled(
-            NormalForm2D(tl, dl, tr, dr),
-            n_samples=samples,
-            orbit_budget=budget,
-            seed=mix_seed(base_seed, i, j),
-        )
-        fr.append(est.rho_hat)
-        un.append(est.undecided_fraction)
-    return i, fr, un
+def _measure_cell(spec: GridSpec, i: int, j: int, samples: int, base_seed: int):
+    """(converged fraction, undecided fraction) of cell (i, j), seeded by its indices."""
+    est = rho_sampled(spec.params(i, j), n_samples=samples, seed=mix_seed(base_seed, i, j))
+    return est.rho_hat, est.undecided_fraction
 
 
-def _asymptotic_row(args) -> tuple[int, list[int]]:
-    (i, tl, tr_values, dl, dr, m_max) = args
-    out: list[int] = []
-    for tr in tr_values:
-        params = NormalForm2D(tl, dl, tr, dr)
-        if not params.in_certificate_regime:
-            out.append(-1)
-            continue
-        verdict = ga92(params, m_max=m_max)
-        if verdict.status is CertificateStatus.STABLE:
-            out.append(verdict.m)
-        else:
-            out.append(-1)
-    return i, out
+def _asymptotic_cell(spec: GridSpec, i: int, j: int, m_max: int) -> int:
+    """Certified generation m of cell (i, j), or -1 where ga92 declines."""
+    params = spec.params(i, j)
+    if not params.in_certificate_regime:
+        return -1
+    verdict = ga92(params, m_max=m_max)
+    return verdict.m if verdict.status is CertificateStatus.STABLE else -1
 
 
-def _run_rows(row_fn, payloads, workers: int):
+def _row(cell, spec: GridSpec, i: int) -> list:
+    return [cell(spec, i, j) for j in range(spec.ny)]
+
+
+def _cells(cell, spec: GridSpec, workers: int) -> list[list]:
+    """``cell(spec, i, j)`` over the grid, one tau_L row per task."""
+    row = partial(_row, cell, spec)
     if workers <= 1:
-        return [row_fn(p) for p in payloads]
+        return [row(i) for i in range(spec.nx)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row_fn, payloads))
+        return list(pool.map(row, range(spec.nx)))
 
 
 def sweep_measure(
-    spec: GridSpec,
-    samples_per_cell: int = 100,
-    orbit_budget: int = ORBIT_BUDGET,
-    base_seed: int = 0,
-    workers: int = 1,
+    spec: GridSpec, samples_per_cell: int = 100, base_seed: int = 0, workers: int = 1
 ) -> GridResult:
     """Monte-Carlo converged-fraction sweep; deterministic per (spec, seed)."""
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be at least 1")
-    tl_vals = spec.tau_L_values()
-    tr_vals = tuple(float(t) for t in spec.tau_R_values())
-    payloads = [
-        (i, float(tl), tr_vals, spec.delta_L, spec.delta_R, samples_per_cell,
-         orbit_budget, base_seed)
-        for i, tl in enumerate(tl_vals)
-    ]
-    values = np.zeros((spec.nx, spec.ny))
-    undecided = np.zeros((spec.nx, spec.ny))
-    for i, fr, un in _run_rows(_measure_row, payloads, workers):
-        values[i] = fr
-        undecided[i] = un
-    return GridResult(spec, GridMode.MEASURE, values, undecided)
+    cell = partial(_measure_cell, samples=samples_per_cell, base_seed=base_seed)
+    cells = np.array(_cells(cell, spec, workers), dtype=np.float64)
+    return GridResult(spec, GridMode.MEASURE, cells[..., 0], cells[..., 1])
 
 
-def sweep_asymptotic(
-    spec: GridSpec,
-    m_max: int = 30,
-    workers: int = 1,
-) -> GridResult:
+def sweep_asymptotic(spec: GridSpec, m_max: int = 30, workers: int = 1) -> GridResult:
     """Certificate sweep recording the smallest self-mapping generation m.
 
     Cells outside the certificate's regime (tau_L >= 2 sqrt(delta_L)) are
     marked with the sentinel -1, as are NotDecided cells and cells with an
     instability witness.
     """
-    tl_vals = spec.tau_L_values()
-    tr_vals = tuple(float(t) for t in spec.tau_R_values())
-    payloads = [
-        (i, float(tl), tr_vals, spec.delta_L, spec.delta_R, m_max)
-        for i, tl in enumerate(tl_vals)
-    ]
-    values = np.full((spec.nx, spec.ny), -1, dtype=np.int64)
-    for i, row in _run_rows(_asymptotic_row, payloads, workers):
-        values[i] = row
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    cell = partial(_asymptotic_cell, m_max=m_max)
+    values = np.array(_cells(cell, spec, workers), dtype=np.int64)
     return GridResult(spec, GridMode.ASYMPTOTIC, values, None, m_max)
 
 
@@ -202,22 +176,18 @@ def write_grid_pgm(result: GridResult, path) -> None:
     distinct from sentinel black).
     """
     nx, ny = result.spec.nx, result.spec.ny
-    pixels = np.zeros((ny, nx), dtype=np.uint8)
-    for row in range(ny):
-        j = ny - 1 - row
-        for i in range(nx):
-            v = float(result.values[i, j])
-            if result.mode is GridMode.MEASURE:
-                px = int(round(255.0 * (1.0 - v)))
-            else:
-                if v < 0:
-                    px = 0
-                else:
-                    if not result.m_max:
-                        raise ValueError("asymptotic grid result is missing m_max")
-                    px = int(round(255.0 * (result.m_max - v + 1.0) / result.m_max))
-                    px = max(px, 1)
-            pixels[row, i] = min(max(px, 0), 255)
+    v = result.values.T[::-1].astype(np.float64)  # row 0 is the highest tau_R
+    if not np.isfinite(v).all():
+        raise ValueError("grid values must be finite")
+    if result.mode is GridMode.MEASURE:
+        px = np.rint(255.0 * (1.0 - v))
+    else:
+        decided = v >= 0
+        if decided.any() and not result.m_max:
+            raise ValueError("asymptotic grid result is missing m_max")
+        m_max = result.m_max or 1  # unused when no cell is decided
+        px = np.where(decided, np.maximum(np.rint(255.0 * (m_max - v + 1.0) / m_max), 1.0), 0.0)
+    pixels = np.clip(px, 0, 255).astype(np.uint8)
     try:
         with open(path, "wb") as fh:
             fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))

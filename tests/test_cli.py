@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pwlstab import AnalysisReport
+from pwlstab import AnalysisReport, cli
 
 from conftest import FOLD_RHO
 
@@ -218,11 +218,29 @@ class TestReadme:
             assert run_cli(*shlex.split(command)[1:]).stdout == expected, command
 
 
+class TestInProcess:
+    def test_repeated_main_prints_what_a_fresh_process_prints(self, capsys):
+        runs = [
+            ["rho", *FOLD_ARGS, "--samples", "300", "--seed", "7"],
+            ["ga92", *UNSTABLE_ARGS],
+            ["rho", *STABLE_ARGS, "--samples", "200"],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == run_cli(*argv).stdout, argv
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestExitCodes:
     def test_regime_error_is_2(self):
         out = run_cli("ga92", *FOLD_ARGS, check=False)
         assert out.returncode == 2
         assert "regime error" in out.stderr
+
+    def test_failed_rho_prints_nothing(self):
+        out = run_cli("rho", *FOLD_ARGS, "--samples", "0", check=False)
+        assert out.returncode == 2
+        assert out.stdout == ""
 
     def test_unknown_flag_is_2(self):
         out = run_cli("rho", "--nonsense", check=False)

@@ -49,6 +49,13 @@ class TestGridSpec:
         assert tl[0] == 0.0 and tl[-1] == 3.5 and len(tl) == 8
         assert tr[0] == -2.0 and tr[-1] == 1.0 and len(tr) == 4
 
+    def test_params_read_the_axis_values(self):
+        spec = GridSpec((0.0, 3.5), (-2.0, 1.0), 8, 4, 1.4, -1.2)
+        tl, tr = spec.tau_L_values(), spec.tau_R_values()
+        for i, j in ((0, 0), (3, 2), (7, 3)):
+            assert spec.params(i, j) == NormalForm2D(float(tl[i]), 1.4, float(tr[j]), -1.2)
+            assert type(spec.params(i, j).tau_L) is float
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             GridSpec((0.0, 1.0), (0.0, 1.0), 0, 4, 1.4, -1.2)
@@ -113,6 +120,12 @@ class TestAsymptoticSweep:
     def test_witness_cell_is_sentinel(self):
         res = sweep_asymptotic(spec1(1.4, -1.4), m_max=30)
         assert res.values[0, 0] == -1
+
+    def test_m_max_below_one_is_rejected_out_of_regime_too(self):
+        # every cell here has tau_L > 2 sqrt(1.4), so ga92 never runs
+        spec = GridSpec((3.0, 3.4), (-1.0, 0.0), 2, 2, 1.4, -1.2)
+        with pytest.raises(ValueError, match="m_max"):
+            sweep_asymptotic(spec, m_max=0)
 
     def test_worker_count_does_not_change_results(self):
         spec = GridSpec((0.5, 2.0), (-0.8, -0.2), 2, 2, 1.4, -1.2)
@@ -180,6 +193,14 @@ class TestPgmOutput:
         # top row is high tau_R: fractions 1.0 and 0.25; bottom 0.0 and 0.5
         assert list(body) == [0, 191, 255, 128]
 
+    def test_non_finite_fraction_is_an_error(self, tmp_path):
+        spec = GridSpec((1.0, 2.0), (-1.0, 0.0), 2, 2, 1.4, -1.2)
+        for bad in (np.nan, np.inf):
+            values = np.array([[0.0, 1.0], [bad, 0.25]])
+            res = GridResult(spec, GridMode.MEASURE, values, np.zeros((2, 2)))
+            with pytest.raises((ValueError, ArithmeticError)):
+                write_grid_pgm(res, tmp_path / "grid.pgm")
+
     def test_asymptotic_pixels(self, tmp_path):
         spec = GridSpec((1.0, 1.0), (-1.0, 0.0), 1, 2, 1.4, -1.2)
         values = np.array([[-1, 15]], dtype=np.int64)
@@ -189,6 +210,19 @@ class TestPgmOutput:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n1 2\n255\n")
         assert list(raw[len(b"P5\n1 2\n255\n") :]) == [136, 0]
+
+    def test_asymptotic_pixels_need_m_max_only_for_certified_cells(self, tmp_path):
+        spec = GridSpec((1.0, 2.0), (-1.0, 0.0), 2, 2, 1.4, -1.2)
+        sentinels = np.full((2, 2), -1, dtype=np.int64)
+        path = tmp_path / "grid.pgm"
+        write_grid_pgm(GridResult(spec, GridMode.ASYMPTOTIC, sentinels), path)
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(4)
+        certified = np.array([[-1, 3], [30, -1]], dtype=np.int64)
+        with pytest.raises(ValueError, match="m_max"):
+            write_grid_pgm(GridResult(spec, GridMode.ASYMPTOTIC, certified), path)
+        write_grid_pgm(GridResult(spec, GridMode.ASYMPTOTIC, certified, m_max=30), path)
+        # m = 3 is round(255 * 28 / 30) = 238; m = 30 is 255 / 30 = 8.5, rounded to even
+        assert list(path.read_bytes()[len(b"P5\n2 2\n255\n") :]) == [238, 0, 0, 8]
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = GridSpec((1.0, 2.0), (-1.0, 0.0), 2, 2, 1.4, -1.2)
