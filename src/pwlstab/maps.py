@@ -96,8 +96,8 @@ class NormalForm2D:
         """One step of the map on coordinate arrays, elementwise."""
         left = x <= 0.0
         tau = np.where(left, self.tau_L, self.tau_R)
-        delta = np.where(left, self.delta_L, self.delta_R)
-        return tau * x + y, -delta * x
+        # negating inside the where saves an array pass; negation is exact
+        return tau * x + y, np.where(left, -self.delta_L, -self.delta_R) * x
 
     def step_scalar(self, x: float, y: float) -> tuple[float, float]:
         """``step`` on one point, without numpy overhead, for sequential orbits."""

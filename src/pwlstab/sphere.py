@@ -128,23 +128,36 @@ KERNEL_TOL = 1e-12
 # Bounds on a block of unnormalised steps; see _block_length.
 BLOCK_MAX = 32
 BLOCK_GROWTH = 1e12
+# Relative padding that makes rho_sampled's stretch bounds hold for the
+# rounded step, whose stretch can fall below the exact shrink bound by a
+# few ulps, and keeps their logarithms away from 0.
+STRETCH_PAD = 1e-9
+
+
+def _stretch_bounds(params: NormalForm2D) -> tuple[float, float]:
+    """Bounds (grow, shrink) on the stretch of a vector by one step of the map.
+
+    A side matrix [[tau, 1], [-delta, 0]] stretches a vector by at most its
+    Frobenius norm F = sqrt(tau^2 + 1 + delta^2) and by at least |delta| / F,
+    its determinant over that bound.  grow is the larger F of the two sides,
+    shrink the smaller |delta| / F.  Exact arithmetic; callers pad for
+    rounding where they need to.
+    """
+    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+    bounds = [math.hypot(tau, 1.0, delta) for tau, delta in sides]
+    return max(bounds), min(abs(delta) / f for (_, delta), f in zip(sides, bounds))
 
 
 def _block_length(params: NormalForm2D) -> int:
     """Steps between renormalisations of the Birkhoff orbit.
 
-    A side matrix [[tau, 1], [-delta, 0]] stretches a unit vector by at most
-    its Frobenius norm F = sqrt(tau^2 + 1 + delta^2) and by at least
-    |delta| / F, its determinant over that bound.  The block length is the
-    largest R <= BLOCK_MAX with (max F)^R <= BLOCK_GROWTH and
-    (min |delta| / F)^R >= KERNEL_TOL, and at least 1.  So a block of
-    R > 1 steps neither overflows nor shrinks a unit vector below the
-    kernel threshold, and no single step in it can either.
+    The block length is the largest R <= BLOCK_MAX with grow^R <=
+    BLOCK_GROWTH and shrink^R >= KERNEL_TOL, and at least 1, where grow and
+    shrink are the side bounds of ``_stretch_bounds``.  So a block of R > 1
+    steps neither overflows nor shrinks a unit vector below the kernel
+    threshold, and no single step in it can either.
     """
-    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-    bounds = [math.hypot(tau, 1.0, delta) for tau, delta in sides]
-    grow = max(bounds)
-    shrink = min(abs(delta) / f for (_, delta), f in zip(sides, bounds))
+    grow, shrink = _stretch_bounds(params)
     r, hi, lo = 1, grow, shrink
     while r < BLOCK_MAX:
         hi *= grow
@@ -181,6 +194,8 @@ def birkhoff_lambda(
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     z = np.asarray(z0, dtype=float)
     r = float(np.linalg.norm(z))
     if r == 0.0:
@@ -426,9 +441,22 @@ def rho_sampled(
     the norm drops below CONV_RADIUS, diverged above DIV_RADIUS or on
     non-finite values; anything still alive after the budget is undecided.
     Deterministic for a fixed seed.
+
+    Steps on which no sample can leave the band [CONV_RADIUS, DIV_RADIUS]
+    run without the exit test.  One step stretches a vector by at most
+    grow and at least shrink (``_stretch_bounds``), each padded here by
+    1e-9 relative so that they also bound the rounded step.  After each
+    test, with squared norms in [q_min, q_max] left, the next
+    j = min(floor(ln(q_min / C^2) / (-2 ln shrink)),
+    floor(ln(D^2 / q_max) / (2 ln grow)), steps left - 1)
+    steps run untested, then one tested step; j = 0 when shrink = 0.
+    Every sample still exits at the step where a test on every step would
+    catch it, so the estimate is the same as with no skipping.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    if orbit_budget < 0:
+        raise ValueError("orbit_budget must be nonnegative")
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n_samples, 2))
     norms = np.linalg.norm(pts, axis=1)
@@ -438,19 +466,36 @@ def rho_sampled(
         norms = np.linalg.norm(pts, axis=1)
     pts /= norms[:, None]
 
+    conv_sq = CONV_RADIUS * CONV_RADIUS
+    div_sq = DIV_RADIUS * DIV_RADIUS
+    grow, shrink = _stretch_bounds(params)
+    grow *= 1.0 + STRETCH_PAD
+    shrink *= 1.0 - STRETCH_PAD
+    grow_rate = 2.0 * math.log(grow)
+    shrink_rate = -2.0 * math.log(shrink) if shrink > 0.0 else 0.0
+
     x, y = pts[:, 0], pts[:, 1]
+    sq = x * x + y * y
     n_conv = 0
-    for _ in range(orbit_budget):
-        if x.size == 0:
-            break
+    left = orbit_budget
+    while left > 0 and x.size:
+        skip = 0
+        if shrink_rate > 0.0:
+            skip = min(
+                math.floor(math.log(float(sq.min()) / conv_sq) / shrink_rate),
+                math.floor(math.log(div_sq / float(sq.max())) / grow_rate),
+                left - 1,
+            )
+        for _ in range(skip):
+            x, y = params.step(x, y)
         x, y = params.step(x, y)
+        left -= skip + 1
         sq = x * x + y * y
-        conv = sq < CONV_RADIUS * CONV_RADIUS
-        done = conv | ~np.isfinite(sq) | (sq > DIV_RADIUS * DIV_RADIUS)
-        if np.any(done):
-            n_conv += int(conv.sum())
-            x = x[~done]
-            y = y[~done]
+        # NaN fails both comparisons, inf the second
+        alive = (sq >= conv_sq) & (sq <= div_sq)
+        if not alive.all():
+            n_conv += int(np.count_nonzero(sq < conv_sq))
+            x, y, sq = x[alive], y[alive], sq[alive]
     return RhoEstimate(n_conv / n_samples, x.size / n_samples, n_samples, seed)
 
 

@@ -242,6 +242,11 @@ class TestExitCodes:
         assert out.returncode == 2
         assert out.stdout == ""
 
+    def test_negative_burnin_is_2(self):
+        out = run_cli("lambda", *STABLE_ARGS, "--iters", "10", "--burnin", "-5", check=False)
+        assert out.returncode == 2
+        assert out.stdout == ""
+
     def test_unknown_flag_is_2(self):
         out = run_cli("rho", "--nonsense", check=False)
         assert out.returncode == 2

@@ -9,17 +9,49 @@ from pwlstab import (
     NormalForm2D,
     OrbitStatus,
     RegimeError,
+    RhoEstimate,
     orbit,
     rho_closed_form,
     rho_sampled,
 )
+from pwlstab.maps import CONV_RADIUS, DIV_RADIUS
 
 from conftest import (
     FOLD_PSI,
     FOLD_RHO,
     FOLD_THETA_L_MINUS,
     PT_FOLD,
+    PT_STABLE,
+    PT_UNSTABLE,
 )
+
+
+def per_step_rho(params, n_samples, orbit_budget, seed):
+    """rho_sampled with the exit test on every step: the reference that the
+    skipping loop must match exactly."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n_samples, 2))
+    norms = np.linalg.norm(pts, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        pts[bad] = rng.normal(size=(int(bad.sum()), 2))
+        norms = np.linalg.norm(pts, axis=1)
+    pts /= norms[:, None]
+
+    x, y = pts[:, 0], pts[:, 1]
+    n_conv = 0
+    for _ in range(orbit_budget):
+        if x.size == 0:
+            break
+        x, y = params.step(x, y)
+        sq = x * x + y * y
+        conv = sq < CONV_RADIUS * CONV_RADIUS
+        done = conv | ~np.isfinite(sq) | (sq > DIV_RADIUS * DIV_RADIUS)
+        if np.any(done):
+            n_conv += int(conv.sum())
+            x = x[~done]
+            y = y[~done]
+    return RhoEstimate(n_conv / n_samples, x.size / n_samples, n_samples, seed)
 
 
 class TestClosedForm:
@@ -90,3 +122,33 @@ class TestSampled:
         m = NormalForm2D(*PT_FOLD)
         est = rho_sampled(m, n_samples=500, orbit_budget=2, seed=0)
         assert est.undecided_fraction > 0.5
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="orbit_budget"):
+            rho_sampled(NormalForm2D(*PT_FOLD), n_samples=10, orbit_budget=-3)
+
+    def test_matches_per_step_loop(self):
+        cases = [
+            PT_FOLD,
+            PT_STABLE,
+            PT_UNSTABLE,
+            # cells of the 16x8 measure plane: one never settles, one
+            # leaves a share undecided after the full budget
+            (1.6333333333333333, 1.4, -0.2857142857142858, -1.2),
+            (0.23333333333333334, 1.4, -1.1428571428571428, -1.2),
+            # delta_L = 0: the shrink bound is 0, so no step is skipped
+            (1.0, 0.0, -1.0, -1.2),
+            # unpadded, the grow bound rounds to 1 (and its log to 0)
+            (1e-9, 1e-9, 1e-9, -1e-9),
+            # unpadded, the shrink bound rounds to 1
+            (0.0, 1e9, 0.0, -1e9),
+            # a NaN side that max() and min() skip over in the bounds
+            (2.5, 1.4, math.nan, -1.2),
+        ]
+        for case in cases:
+            params = NormalForm2D(*case)
+            for budget in (0, 1, 2, 37, 10_000):
+                for n in (1, 100, 4000):
+                    got = rho_sampled(params, n_samples=n, orbit_budget=budget, seed=5)
+                    want = per_step_rho(params, n, budget, 5)
+                    assert got == want, (case, budget, n)

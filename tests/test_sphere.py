@@ -255,6 +255,10 @@ class TestBirkhoff:
         with pytest.raises(ValueError):
             birkhoff_lambda(NormalForm2D(*PT_STABLE), u(0.3), n=0)
 
+    def test_rejects_negative_burn_in(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            birkhoff_lambda(NormalForm2D(*PT_STABLE), u(0.3), n=10, burn_in=-5)
+
     def test_block_length_follows_side_bounds(self):
         # PT_STABLE: the left bound sqrt(6.96) reaches 1e12 between 28 and 29 steps
         assert _block_length(NormalForm2D(*PT_STABLE)) == 28
