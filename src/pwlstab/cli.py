@@ -30,11 +30,22 @@ from .sphere import (
 from .sweep import GridSpec, sweep_asymptotic, sweep_measure, write_grid_csv, write_grid_pgm
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a float option: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_params(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--tl", type=float, required=True, help="left trace tau_L")
-    sp.add_argument("--dl", type=float, required=True, help="left determinant delta_L")
-    sp.add_argument("--tr", type=float, required=True, help="right trace tau_R")
-    sp.add_argument("--dr", type=float, required=True, help="right determinant delta_R")
+    sp.add_argument("--tl", type=_finite_float, required=True, help="left trace tau_L")
+    sp.add_argument("--dl", type=_finite_float, required=True, help="left determinant delta_L")
+    sp.add_argument("--tr", type=_finite_float, required=True, help="right trace tau_R")
+    sp.add_argument("--dr", type=_finite_float, required=True, help="right determinant delta_R")
 
 
 def _params(args) -> NormalForm2D:
@@ -227,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lambda", help="Birkhoff average of the log radial stretch")
     _add_params(sp)
-    sp.add_argument("--theta0", type=float, default=0.0, help="initial angle")
+    sp.add_argument("--theta0", type=_finite_float, default=0.0, help="initial angle")
     sp.add_argument("--iters", type=int, default=DEFAULT_ITERS, help="orbit length")
     sp.add_argument("--burnin", type=int, default=DEFAULT_BURN_IN, help="discarded prefix")
     sp.set_defaults(func=_cmd_lambda)
 
     sp = sub.add_parser("hist", help="empirical angle density of the circle map")
     _add_params(sp)
-    sp.add_argument("--theta0", type=float, default=0.0)
+    sp.add_argument("--theta0", type=_finite_float, default=0.0)
     sp.add_argument("--iters", type=int, default=100_000)
     sp.add_argument("--bins", type=int, default=400)
     sp.add_argument("--out", required=True, help="output CSV path")
@@ -259,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="parameter-plane sweep over (tau_L, tau_R)")
     sp.add_argument("--mode", choices=("measure", "asymptotic"), required=True)
-    sp.add_argument("--tl-min", type=float, required=True)
-    sp.add_argument("--tl-max", type=float, required=True)
-    sp.add_argument("--tr-min", type=float, required=True)
-    sp.add_argument("--tr-max", type=float, required=True)
+    sp.add_argument("--tl-min", type=_finite_float, required=True)
+    sp.add_argument("--tl-max", type=_finite_float, required=True)
+    sp.add_argument("--tr-min", type=_finite_float, required=True)
+    sp.add_argument("--tr-max", type=_finite_float, required=True)
     sp.add_argument("--nx", type=int, default=128)
     sp.add_argument("--ny", type=int, default=64)
-    sp.add_argument("--dl", type=float, required=True)
-    sp.add_argument("--dr", type=float, required=True)
+    sp.add_argument("--dl", type=_finite_float, required=True)
+    sp.add_argument("--dr", type=_finite_float, required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.add_argument("--pgm", default=None, help="also write an 8-bit PGM image here")
     sp.add_argument("--samples", type=int, default=100, help="measure mode: samples per cell")

@@ -107,12 +107,13 @@ class NormalForm2D:
 
     def advance(self, x: float, y: float, k: int) -> tuple[float, float]:
         """k steps of ``step_scalar`` from one point, bit for bit, in one call."""
-        tl, dl, tr, dr = self.tau_L, self.delta_L, self.tau_R, self.delta_R
+        # negated once, outside the loop; negation is exact
+        tl, ndl, tr, ndr = self.tau_L, -self.delta_L, self.tau_R, -self.delta_R
         for _ in range(k):
             if x <= 0.0:
-                x, y = tl * x + y, -dl * x
+                x, y = tl * x + y, ndl * x
             else:
-                x, y = tr * x + y, -dr * x
+                x, y = tr * x + y, ndr * x
         return x, y
 
     def matrix(self, side: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -113,12 +114,14 @@ class StarPolygon:
 
     # -- basic geometry ----------------------------------------------------
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        """Chain points in cartesian coordinates, shape (k, 2)."""
-        return np.column_stack(
+        """Chain points in cartesian coordinates, shape (k, 2); computed once, read-only."""
+        pts = np.column_stack(
             (self.radii * np.cos(self.angles), self.radii * np.sin(self.angles))
         )
+        pts.flags.writeable = False
+        return pts
 
     @property
     def vertices(self) -> np.ndarray:
@@ -142,6 +145,18 @@ class StarPolygon:
 
     # -- radial evaluation ---------------------------------------------------
 
+    @cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per segment j -> j+1: whether it is wider than ANGLE_TOL, and its
+        line r(phi) = num / (ux * dy - uy * dx), as (wide, num, dx, dy).  The
+        trailing entry stands for the missing segments j = -1 and j = k - 1."""
+        ang, pts = self.angles, self.points
+        wide = np.append(ang[1:] - ang[:-1] > ANGLE_TOL, False)
+        x, y = pts[:, 0], pts[:, 1]
+        num = np.append(x[:-1] * y[1:] - y[:-1] * x[1:], 0.0)
+        dx, dy = np.append(x[1:] - x[:-1], 0.0), np.append(y[1:] - y[:-1], 0.0)
+        return wide, num, dx, dy
+
     def _sides(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Boundary radius just below, just above and at each angle of ``phi``.
 
@@ -150,16 +165,10 @@ class StarPolygon:
         it.  The value at the angle also takes every chain point there, so it
         sees the outer end of a radial jump edge and a single-ray chain.
         """
-        ang, rad, pts = self.angles, self.radii, self.points
+        ang, rad = self.angles, self.radii
         first = np.searchsorted(ang, phi - ANGLE_TOL, "left")
         stop = np.searchsorted(ang, phi + ANGLE_TOL, "right")
-        # Per segment j -> j+1: whether it is wider than ANGLE_TOL, and its
-        # line r(phi) = num / (ux * dy - uy * dx).  The trailing entry stands
-        # for the missing segments j = -1 and j = k - 1.
-        wide = np.append(ang[1:] - ang[:-1] > ANGLE_TOL, False)
-        x, y = pts[:, 0], pts[:, 1]
-        num = np.append(x[:-1] * y[1:] - y[:-1] * x[1:], 0.0)
-        dx, dy = np.append(x[1:] - x[:-1], 0.0), np.append(y[1:] - y[:-1], 0.0)
+        wide, num, dx, dy = self._lines
         ux, uy = np.cos(phi), np.sin(phi)
 
         def side(j: np.ndarray) -> np.ndarray:
@@ -257,17 +266,19 @@ def union_star(a: StarPolygon, b: StarPolygon) -> StarPolygon:
     # changes sign there; the crossing is where the lines through each
     # chain's radii at the two ends of the cell meet.
     cells = np.nonzero((a_above[:-1] - b_above[:-1]) * (a_below[1:] - b_below[1:]) < 0.0)[0]
-    u0 = np.array([np.cos(grid[cells]), np.sin(grid[cells])])
-    u1 = np.array([np.cos(grid[cells + 1]), np.sin(grid[cells + 1])])
-    pa0, pa1 = a_above[cells] * u0, a_below[cells + 1] * u1
-    pb0, pb1 = b_above[cells] * u0, b_below[cells + 1] * u1
-    da, db = pa1 - pa0, pb1 - pb0
-    qx, qy = pa0 + _cross(*(pb0 - pa0), *db) / _cross(*da, *db) * da
-    crossings = {
-        int(i): (phi, r)
-        for i, phi, r in zip(cells, np.arctan2(qy, qx).tolist(), np.hypot(qx, qy).tolist())
-        if grid[i] + ANGLE_TOL < phi < grid[i + 1] - ANGLE_TOL
-    }
+    crossings = {}
+    if cells.size:
+        u0 = np.array([np.cos(grid[cells]), np.sin(grid[cells])])
+        u1 = np.array([np.cos(grid[cells + 1]), np.sin(grid[cells + 1])])
+        pa0, pa1 = a_above[cells] * u0, a_below[cells + 1] * u1
+        pb0, pb1 = b_above[cells] * u0, b_below[cells + 1] * u1
+        da, db = pa1 - pa0, pb1 - pb0
+        qx, qy = pa0 + _cross(*(pb0 - pa0), *db) / _cross(*da, *db) * da
+        crossings = {
+            int(i): (phi, r)
+            for i, phi, r in zip(cells, np.arctan2(qy, qx).tolist(), np.hypot(qx, qy).tolist())
+            if grid[i] + ANGLE_TOL < phi < grid[i + 1] - ANGLE_TOL
+        }
 
     out_a: list[float] = []
     out_r: list[float] = []

@@ -1,5 +1,6 @@
 """End-to-end command-line checks through fresh interpreter processes."""
 
+import hashlib
 import json
 import shlex
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from pwlstab import AnalysisReport, cli
 
-from conftest import FOLD_RHO
+from conftest import FOLD_RHO, PT_CONTRACT, PT_FOLD, PT_STABLE, PT_UNSTABLE
 
 STABLE_ARGS = ["--tl", "2", "--dl", "1.4", "--tr", "-0.8", "--dr", "-1.2"]
 FOLD_ARGS = ["--tl", "2.5", "--dl", "1.4", "--tr", "-0.5", "--dr", "-1.2"]
@@ -133,6 +134,23 @@ class TestAnalyze:
         out = run_cli("analyze", *STABLE_ARGS)
         assert "summary: ExponentiallyStable" in out.stdout
 
+    @pytest.mark.parametrize(
+        "point, digest",
+        [
+            (PT_FOLD, "ea01654e340d2edbe478c5ff834f5383e432db66af0b1a69c67b60b4cb3937bb"),
+            (PT_STABLE, "a3c9aedd3158c2b20d40b35a1f7e267dce40693e9c10d33d64faa097a25cc48c"),
+            (PT_UNSTABLE, "cd240ba14d292d77fbf11e72a41de81fc7015e39516436fb16e22f8eed7161cf"),
+            (PT_CONTRACT, "80e3f11ae39d1c994fd41f58ea898ec6a9c3aead8fa46c7b1eb087d19a5ea240"),
+        ],
+        ids=["fold", "stable", "unstable", "contract"],
+    )
+    def test_json_output_pinned(self, point, digest):
+        # every byte of the report, lambda_hat and rho_sampled included
+        args = [a for flag, v in zip(("--tl", "--dl", "--tr", "--dr"), point)
+                for a in (flag, repr(v))]
+        out = run_cli("analyze", *args, "--json")
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
 
 class TestRho:
     def test_closed_form_line(self):
@@ -246,6 +264,35 @@ class TestExitCodes:
         out = run_cli("lambda", *STABLE_ARGS, "--iters", "10", "--burnin", "-5", check=False)
         assert out.returncode == 2
         assert out.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "--tl", "nan", "--dl", "1.4", "--tr", "-0.5", "--dr", "-1.2",
+             "--samples", "100"],
+            ["lambda", "--tl", "2", "--dl", "1.4", "--tr", "nan", "--dr", "-1.2",
+             "--iters", "100"],
+            ["analyze", "--tl", "2", "--dl", "1e400", "--tr", "-0.8", "--dr", "-1.2"],
+            ["ga92", "--tl", "2", "--dl", "1.4", "--tr", "-0.8", "--dr=-inf"],
+            ["lambda", *STABLE_ARGS, "--iters", "100", "--theta0", "inf"],
+            ["hist", *STABLE_ARGS, "--iters", "100", "--theta0", "nan", "--out", "h.csv"],
+            ["sweep", "--mode", "measure", "--tl-min", "1", "--tl-max", "inf",
+             "--tr-min", "-1", "--tr-max", "0", "--nx", "2", "--ny", "2",
+             "--dl", "1.4", "--dr", "-1.2", "--out", "s.csv"],
+            ["sweep", "--mode", "asymptotic", "--tl-min", "1", "--tl-max", "2",
+             "--tr-min", "-1", "--tr-max", "0", "--nx", "2", "--ny", "2",
+             "--dl", "nan", "--dr", "-1.2", "--out", "s.csv"],
+        ],
+        ids=["rho_tl", "lambda_tr", "analyze_dl", "ga92_dr", "lambda_theta0", "hist_theta0",
+             "sweep_tl_max", "sweep_dl"],
+    )
+    def test_non_finite_value_is_2(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_flag_is_2(self):
         out = run_cli("rho", "--nonsense", check=False)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,11 +44,52 @@ from pwlstab import (
     periodic_orbits_G,
     sphere_eval,
 )
-from pwlstab.sphere import _block_length
+from pwlstab.sphere import N_BATCHES, _block_length
+
+# Started at u(0.5), its 7th block of 16 steps starts from the float state
+# the 6th started from, and so does every later block.
+PT_CYCLING = (1.479, 0.35, -0.1, -1.5)
+# Block length 1 (one step may stretch by 1e7) and no float state repeats.
+PT_BLOCK_1 = (1.0, 1e7, 2.0, -1e7)
 
 
 def u(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)])
+
+
+def unmemoised_lambda(params, z0, n, burn_in):
+    """birkhoff_lambda's block loop with no memo: the reference that the
+    memoised loop must match exactly."""
+    z = np.asarray(z0, dtype=float)
+    z = z / float(np.linalg.norm(z))
+    zx, zy = float(z[0]), float(z[1])
+    block = _block_length(params)
+
+    def log_stretch(steps):
+        nonlocal zx, zy
+        total = 0.0
+        while steps > 0:
+            k = min(block, steps)
+            wx, wy = params.advance(zx, zy, k)
+            d = math.hypot(wx, wy)
+            total += math.log(d)
+            zx, zy = wx / d, wy / d
+            steps -= k
+        return total
+
+    log_stretch(burn_in)
+    batches = min(N_BATCHES, n)
+    size = n // batches
+    sums = [log_stretch(size) for _ in range(batches)]
+    lambda_hat = math.fsum(sums + [log_stretch(n - batches * size)]) / n
+    std_error = float("nan")
+    if batches > 1:
+        std_error = float(np.std(np.array(sums) / size, ddof=1) / math.sqrt(batches))
+    return lambda_hat, std_error
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def _sha256(values: np.ndarray) -> str:
@@ -334,6 +376,50 @@ class TestBirkhoff:
         log_norm = math.log(float(np.linalg.norm(x))) + exponent * math.log(2.0)
         est = birkhoff_lambda(params, u(theta), n=n, burn_in=0)
         assert n * est.lambda_hat == pytest.approx(log_norm, rel=1e-10)
+
+
+class TestBirkhoffMemo:
+    @pytest.mark.parametrize(
+        "point",
+        [PT_CYCLING, PT_FOLD, PT_STABLE, (1e7, 1.0, 0.0, -1.0), PT_BLOCK_1],
+        ids=["cycling", "fold", "stable", "block_1_cycling", "block_1"],
+    )
+    @pytest.mark.parametrize("n", [1, 150, 20_000])
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    def test_matches_unmemoised_loop(self, point, n, burn_in):
+        params = NormalForm2D(*point)
+        est = birkhoff_lambda(params, u(0.5), n=n, burn_in=burn_in)
+        lambda_hat, std_error = unmemoised_lambda(params, u(0.5), n, burn_in)
+        assert same_float(est.lambda_hat, lambda_hat)
+        assert same_float(est.std_error, std_error)
+
+    def test_repeated_blocks_are_not_recomputed(self, monkeypatch):
+        params = NormalForm2D(*PT_CYCLING)
+        calls = []
+        advance = NormalForm2D.advance
+
+        def counted(self, x, y, k):
+            calls.append(k)
+            return advance(self, x, y, k)
+
+        monkeypatch.setattr(NormalForm2D, "advance", counted)
+        birkhoff_lambda(params, u(0.5), n=20_000, burn_in=1000)
+        blocks = math.ceil(1000 / 16) + 100 * math.ceil(200 / 16)
+        assert _block_length(params) == 16
+        assert len(calls) < blocks // 100
+
+    def test_memo_memory_is_bounded(self):
+        # 200 000 blocks of one step: with the memo never cleared the peak
+        # is about 12.7 MB, with the 1024-entry clear about 0.24 MB
+        params = NormalForm2D(*PT_BLOCK_1)
+        assert _block_length(params) == 1
+        tracemalloc.start()
+        try:
+            birkhoff_lambda(params, u(0.5), n=200_000, burn_in=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestHistogram:
