@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -39,6 +40,18 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads ``-1e-3`` as a value, not as an option.
+
+    argparse's own negative-number pattern has no exponent, so ``--tr -1e-3``
+    would fail with "expected one argument".  Subparsers share the class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _add_params(sp: argparse.ArgumentParser) -> None:
@@ -222,7 +235,7 @@ def _cmd_sweep(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: ``main`` may run many times in-process."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pwlstab",
         description=(
             "Stability analyses for continuous piecewise-linear planar maps "

@@ -80,26 +80,26 @@ class StarPolygon:
         return cls(np.array([0.0, HALF_PI]), np.array([1.0, 1.0]))
 
     @classmethod
-    def from_vertices(cls, points, drop_tol: float = EPS_GEOM) -> "StarPolygon":
+    def from_vertices(cls, points) -> "StarPolygon":
         """Build a chain from a polygon vertex loop (either orientation).
 
-        Near-origin vertices are dropped (the origin anchor is implicit).
-        The remaining cyclic sequence must visit angles monotonically after
-        some rotation, otherwise the polygon is not star-shaped about the
-        origin and a ValueError is raised.
+        Vertices within EPS_GEOM of the origin are dropped (the origin
+        anchor is implicit).  The remaining cyclic sequence must visit angles
+        monotonically after some rotation, otherwise the polygon is not
+        star-shaped about the origin and a ValueError is raised.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array-like")
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        pts = pts[r > drop_tol]
+        rad = np.hypot(pts[:, 0], pts[:, 1])
+        far = rad > EPS_GEOM
+        pts, rad = pts[far], rad[far]
         if len(pts) == 0:
             raise ValueError("all vertices are at the origin")
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         ang[np.abs(ang) <= ANGLE_TOL] = 0.0
         if np.any(ang < 0.0):
             raise ValueError("vertices must lie in the closed upper half-plane")
-        rad = np.hypot(pts[:, 0], pts[:, 1])
 
         def monotone(a: np.ndarray) -> bool:
             return bool(np.all(np.diff(a) >= -ANGLE_TOL))
@@ -157,35 +157,45 @@ class StarPolygon:
         dx, dy = np.append(x[1:] - x[:-1], 0.0), np.append(y[1:] - y[:-1], 0.0)
         return wide, num, dx, dy
 
-    def _sides(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boundary radius just below, just above and at each angle of ``phi``.
+    def _sides(
+        self, phi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Boundary radius just below, just above and at each angle of ``phi``,
+        and whether the chain has a point of its own there.
 
         Chain angles within ANGLE_TOL of a query angle count as that angle.
         A side reads exactly 0 where no segment wider than ANGLE_TOL lies on
-        it.  The value at the angle also takes every chain point there, so it
-        sees the outer end of a radial jump edge and a single-ray chain.
+        it, and the radius of the chain point at the angle where one does.
+        The value at the angle is the largest radius of the chain points
+        there, so it sees the outer end of a radial jump edge and a
+        single-ray chain, or the spanning segment's value between points.
         """
         ang, rad = self.angles, self.radii
         first = np.searchsorted(ang, phi - ANGLE_TOL, "left")
         stop = np.searchsorted(ang, phi + ANGLE_TOL, "right")
         wide, num, dx, dy = self._lines
         ux, uy = np.cos(phi), np.sin(phi)
+        here = first < stop
+        last = stop - 1
+        r_first, r_last = rad.take(first, mode="clip"), rad[last]
 
-        def side(j: np.ndarray) -> np.ndarray:
+        # At a chain point a side reads that point's own radius, since the
+        # line of a nearly radial segment is ill-conditioned at its ends.
+        def side(j: np.ndarray, own: np.ndarray) -> np.ndarray:
             ok = wide[j]
             den = np.where(ok, ux * dy[j] - uy * dx[j], 1.0)
-            return np.where(ok, num[j] / den, 0.0)
+            return np.where(ok, np.where(here, own, num[j] / den), 0.0)
 
         # Below: the segment ending at the first chain point at phi, or
         # spanning phi.  Above: the one starting at the last point there.
-        below = side(first - 1)
-        above = side(stop - 1)
-        at = np.maximum(below, above)
-        for offset in range(int(np.max(stop - first, initial=0))):
+        below = side(first - 1, r_first)
+        above = side(last, r_last)
+        at = np.where(here, np.maximum(r_first, r_last), below)
+        for offset in range(1, int(np.max(stop - first, initial=0)) - 1):
             i = first + offset
-            here = i < stop
-            at[here] = np.maximum(at[here], rad[i[here]])
-        return below, above, at
+            inner = i < last
+            at[inner] = np.maximum(at[inner], rad[i[inner]])
+        return below, above, at, here
 
     def radius_at(self, phi):
         """Radial extent of the closed region along the ray at angle phi.
@@ -213,60 +223,46 @@ def _grid(lo: float, hi: float, *chains: StarPolygon) -> np.ndarray:
     return v[np.append(True, np.diff(v) > ANGLE_TOL)]
 
 
-def _prune_chain(a_out: list[float], r_out: list[float]) -> tuple[list[float], list[float]]:
-    """Drop collinear interior points (distance to the chord within 1e-12 of scale)."""
-    changed = True
-    while changed and len(a_out) > 2:
-        changed = False
-        keep = [True] * len(a_out)
-        pts = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(a_out, r_out)]
-        scale = max(r_out)
-        i = 1
-        while i < len(a_out) - 1:
-            p0, p1, p2 = pts[i - 1], pts[i], pts[i + 1]
-            if (
-                a_out[i] - a_out[i - 1] > ANGLE_TOL
-                and a_out[i + 1] - a_out[i] > ANGLE_TOL
-            ):
-                chord = math.hypot(p2[0] - p0[0], p2[1] - p0[1])
-                dev = abs(
-                    _cross(p1[0] - p0[0], p1[1] - p0[1], p2[0] - p0[0], p2[1] - p0[1])
-                )
-                if chord > 0 and dev / chord <= 1e-12 * scale:
-                    keep[i] = False
-                    changed = True
-                    i += 2
-                    continue
-            i += 1
-        if changed:
-            a_out = [a for a, k in zip(a_out, keep) if k]
-            r_out = [r for r, k in zip(r_out, keep) if k]
-    return a_out, r_out
-
-
 def union_star(a: StarPolygon, b: StarPolygon) -> StarPolygon:
     """Union of two star regions, as the upper envelope of their radial chains.
 
     On the merged angle grid both boundaries are single straight segments
-    inside each cell, so the envelope takes the larger one-sided radius at
-    every grid angle and can switch chains only at one interior crossing,
-    which is placed exactly from the four radii at the cell's ends.
-    Supports must overlap or touch (a union with a gap of empty angles would
-    not be star-shaped with one chain).
+    inside each cell, so the envelope takes the larger one-sided radius of
+    the two chains at every grid angle, one point where the two sides agree
+    to 1e-11 relative and a jump pair where they do not.  It can switch
+    chains only at one interior crossing per cell, placed exactly from the
+    four radii at the cell's ends.  A grid angle where one chain has no
+    point of its own and beats the other on both sides by more than 1e-12
+    relative lies inside that chain's straight segment, so the envelope runs
+    through it and emits nothing there; near ties keep the point.  So the
+    union's points are input chain points plus crossings, with no pruning
+    pass.  Supports must overlap or touch (a union with a gap of empty
+    angles would not be star-shaped with one chain).
     """
     a0, a1 = a.support
     b0, b1 = b.support
     if max(a0, b0) > min(a1, b1) + 10 * ANGLE_TOL:
         raise ValueError("angular supports are disjoint; union is not a star chain")
     grid = _grid(min(a0, b0), max(a1, b1), a, b)
-    a_below, a_above, _ = a._sides(grid)
-    b_below, b_above, _ = b._sides(grid)
+    a_below, a_above, _, a_here = a._sides(grid)
+    b_below, b_above, _, b_here = b._sides(grid)
+    below = np.maximum(a_below, b_below)
+    above = np.maximum(a_above, b_above)
+
+    def beats(p_below, p_above, q_below, q_above) -> np.ndarray:
+        return (p_below - q_below > 1e-12 * p_below) & (p_above - q_above > 1e-12 * p_above)
+
+    through = (~a_here & beats(a_below, a_above, b_below, b_above)) | (
+        ~b_here & beats(b_below, b_above, a_below, a_above)
+    )
+    one = np.abs(below - above) <= 1e-11 * np.maximum(below, above)
 
     # The envelope switches chains inside a cell only where the difference
     # changes sign there; the crossing is where the lines through each
     # chain's radii at the two ends of the cell meet.
+    cross_phi = np.zeros_like(grid)
+    cross_r = np.zeros_like(grid)
     cells = np.nonzero((a_above[:-1] - b_above[:-1]) * (a_below[1:] - b_below[1:]) < 0.0)[0]
-    crossings = {}
     if cells.size:
         u0 = np.array([np.cos(grid[cells]), np.sin(grid[cells])])
         u1 = np.array([np.cos(grid[cells + 1]), np.sin(grid[cells + 1])])
@@ -274,40 +270,18 @@ def union_star(a: StarPolygon, b: StarPolygon) -> StarPolygon:
         pb0, pb1 = b_above[cells] * u0, b_below[cells + 1] * u1
         da, db = pa1 - pa0, pb1 - pb0
         qx, qy = pa0 + _cross(*(pb0 - pa0), *db) / _cross(*da, *db) * da
-        crossings = {
-            int(i): (phi, r)
-            for i, phi, r in zip(cells, np.arctan2(qy, qx).tolist(), np.hypot(qx, qy).tolist())
-            if grid[i] + ANGLE_TOL < phi < grid[i + 1] - ANGLE_TOL
-        }
+        phi = np.arctan2(qy, qx)
+        inside = (grid[cells] + ANGLE_TOL < phi) & (phi < grid[cells + 1] - ANGLE_TOL)
+        cross_phi[cells[inside]] = phi[inside]
+        cross_r[cells[inside]] = np.hypot(qx, qy)[inside]
 
-    out_a: list[float] = []
-    out_r: list[float] = []
-
-    def emit(phi: float, r: float) -> None:
-        if r <= 0.0:
-            return
-        if out_a and phi - out_a[-1] <= ANGLE_TOL:
-            if abs(r - out_r[-1]) <= 1e-11 * max(r, out_r[-1]):
-                out_r[-1] = max(out_r[-1], r)
-                return
-            if len(out_a) >= 2 and out_a[-1] - out_a[-2] <= ANGLE_TOL:
-                out_r[-1] = r  # already a jump pair here; move its outer end
-                return
-        out_a.append(phi)
-        out_r.append(r)
-
-    # The grid ends lie at the ends of the supports, where the outer sides
-    # read 0 and emit nothing.
-    below = np.maximum(a_below, b_below).tolist()
-    above = np.maximum(a_above, b_above).tolist()
-    for i, phi in enumerate(grid.tolist()):
-        emit(phi, below[i])
-        emit(phi, above[i])
-        if i in crossings:
-            emit(*crossings[i])
-
-    ang, rad = _prune_chain(out_a, out_r)
-    return StarPolygon(np.array(ang), np.array(rad))
+    # (below, above, crossing) per grid angle, in that order.  The grid ends
+    # lie at the ends of the supports, where the outer sides read 0; a
+    # missing crossing reads 0 too.  A NaN is kept, for StarPolygon to reject.
+    ang = np.column_stack((grid, grid, cross_phi))
+    rad = np.column_stack((np.where(one, np.maximum(below, above), below), above, cross_r))
+    keep = np.column_stack((~through, ~(through | one), np.ones_like(one))) & ~(rad <= 0.0)
+    return StarPolygon(ang[keep], rad[keep])
 
 
 def containment_protrusion(
@@ -334,33 +308,31 @@ def containment_protrusion(
         lo = hi = 0.5 * (lo + hi)
 
     grid = _grid(lo, hi, poly, region)
-    p_below, p_above, p_at = poly._sides(grid)
-    r_below, r_above, r_at = region._sides(grid)
+    p_below, p_above, p_at, _ = poly._sides(grid)
+    r_below, r_above, r_at, _ = region._sides(grid)
     excess = (p_at - r_at, (p_below - r_below)[1:], (p_above - r_above)[:-1])
     return float(np.concatenate(excess).max())
 
 
-def region_contains(
-    region: StarPolygon, poly: StarPolygon, tol: float = EPS_GEOM
-) -> bool:
-    """Whether the star region contains the polygon, up to radial slack tol."""
-    return containment_protrusion(region, poly) <= tol
+def region_contains(region: StarPolygon, poly: StarPolygon) -> bool:
+    """Whether the star region contains the polygon, up to radial slack EPS_GEOM."""
+    return containment_protrusion(region, poly) <= EPS_GEOM
 
 
 _GAMMA = StarPolygon.unit_triangle()
 
 
-def separated_from_gamma(poly: StarPolygon, clearance: float = EPS_GEOM) -> bool:
+def separated_from_gamma(poly: StarPolygon) -> bool:
     """Whether the region stays radially clear of the segment (1,0)-(0,1).
 
     The segment is the outer edge of the seed triangle, spanning angles
     [0, pi/2].  A star region touches it exactly when its radial function
     reaches the segment's radial function somewhere on that band, so
-    separation is max(r_poly - r_segment) <= -clearance over the band
+    separation is max(r_poly - r_segment) <= -EPS_GEOM over the band
     (vacuously true when the supports do not meet).
     """
     excess = containment_protrusion(_GAMMA, poly, window=(0.0, HALF_PI))
-    return excess <= -clearance
+    return excess <= -EPS_GEOM
 
 
 def _resolve_matrices(m: NormalForm2D | PWLMap) -> tuple[np.ndarray, np.ndarray]:
@@ -492,7 +464,6 @@ def stability_iteration(
     params: NormalForm2D,
     seed: StarPolygon,
     m_max: int = 30,
-    k_max: int | None = None,
 ) -> Ga92Verdict:
     """Run the containment/separation iteration from an arbitrary seed region.
 
@@ -502,8 +473,8 @@ def stability_iteration(
     Delta_m already lie in Omega_m, Omega_m maps into itself when Delta_{m+1}
     does not protrude over it; that protrusion is the residual at m.  Then
     g^k(Omega_m) = Delta_k u ... u Delta_{m+k}, so k is the first k >= 1 with
-    those m + 1 generations all clear of the unit segment, up to ``k_max``
-    (default 2 * m_max).
+    those m + 1 generations all clear of the unit segment, up to
+    k_max = 2 * m_max.
 
     Exposed separately because the outcome is homogeneous: scaling the seed
     leaves the decision unchanged (only m and k may shift).  The seed is
@@ -514,10 +485,7 @@ def stability_iteration(
     _check_certificate_regime(params)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if k_max is None:
-        k_max = 2 * m_max
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    k_max = 2 * m_max
 
     residuals: list[float] = []
     omega: StarRegion | None = None

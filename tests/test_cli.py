@@ -138,9 +138,9 @@ class TestAnalyze:
         "point, digest",
         [
             (PT_FOLD, "ea01654e340d2edbe478c5ff834f5383e432db66af0b1a69c67b60b4cb3937bb"),
-            (PT_STABLE, "a3c9aedd3158c2b20d40b35a1f7e267dce40693e9c10d33d64faa097a25cc48c"),
+            (PT_STABLE, "fe4bca9fdb67be344a790e535093439798fd60bbbea77d40aca9231e91b440a0"),
             (PT_UNSTABLE, "cd240ba14d292d77fbf11e72a41de81fc7015e39516436fb16e22f8eed7161cf"),
-            (PT_CONTRACT, "80e3f11ae39d1c994fd41f58ea898ec6a9c3aead8fa46c7b1eb087d19a5ea240"),
+            (PT_CONTRACT, "4b3fb5d7c548a511b4371d2c4dbcbd470b2cfbade1ddfef1a48a6dcb8954c0a3"),
         ],
         ids=["fold", "stable", "unstable", "contract"],
     )
@@ -178,6 +178,25 @@ class TestLambda:
         assert float(pairs["lambda_hat"]) == pytest.approx(-0.16, abs=0.02)
         assert pairs["n_used"] == "2000"
         assert a.stdout == run_cli(*args).stdout
+
+    def test_negative_exponent_value_is_an_argument(self):
+        # argparse's own negative-number pattern has no exponent, so
+        # `--tr -1e-3` read as an option and failed with "expected one argument"
+        base = ["lambda", "--tl", "2", "--dl", "1.4", "--dr", "-1.2", "--iters", "1000"]
+        spaced = run_cli(*base, "--tr", "-1e-3")
+        assert spaced.stdout == run_cli(*base, "--tr=-1e-3").stdout
+        assert spaced.stdout.startswith("lambda_hat=")
+
+    def test_every_float_option_reads_negative_exponents(self):
+        params = ["--tl", "-2E0", "--dl", "1.4", "--tr", "-1e-3", "--dr", "-1.2e+0"]
+        args = cli.build_parser().parse_args(["lambda", *params, "--theta0", "-.5e-1"])
+        assert (args.tl, args.tr, args.dr, args.theta0) == (-2.0, -1e-3, -1.2, -0.05)
+        args = cli.build_parser().parse_args([
+            "sweep", "--mode", "measure", "--tl-min", "-1e-3", "--tl-max", "2",
+            "--tr-min", "-2.5e0", "--tr-max", "-1e-9", "--dl", "1.4", "--dr", "-12e-1",
+            "--out", "s.csv",
+        ])
+        assert (args.tl_min, args.tr_min, args.tr_max, args.dr) == (-1e-3, -2.5, -1e-9, -1.2)
 
 
 class TestFileOutputs:

@@ -1,5 +1,6 @@
 """Polygon-iteration stability certificate and its supporting invariants."""
 
+import functools
 import hashlib
 import math
 
@@ -67,13 +68,12 @@ class TestVerdicts:
         assert "budget" in v.note
 
     def test_k_budget_failure_is_reported(self):
-        # the point certifies with k = 2, so k_max = 1 must fall short
-        v = stability_iteration(
-            NormalForm2D(*PT_STABLE), StarPolygon.unit_triangle(), m_max=30, k_max=1
-        )
+        # Omega_3 maps into itself, but no m + 1 = 4 consecutive generations
+        # up to Delta_{m + k_max} = Delta_63 clear the unit segment
+        v = ga92(NormalForm2D(0.7, 1.4, -0.7142857142857144, -1.2))
         assert v.status is CertificateStatus.NOT_DECIDED
-        assert v.m == 2 and v.k is None
-        assert "segment" in v.note
+        assert v.m == 3 and v.k is None and v.k_max == 60
+        assert "no iterate cleared" in v.note
 
     @pytest.mark.parametrize(
         "pt",
@@ -123,12 +123,6 @@ class TestVerdicts:
         with pytest.raises(RegimeError, match="delta"):
             ga92(NormalForm2D(1.0, 0.2, -0.5, 1.2))
 
-    def test_k_max_validation(self):
-        with pytest.raises(ValueError):
-            stability_iteration(
-                NormalForm2D(*PT_STABLE), StarPolygon.unit_triangle(), k_max=0
-            )
-
 
 class TestAcceptancePlane:
     def test_outcomes_pinned(self):
@@ -170,9 +164,40 @@ class TestVerdictInvariants:
         assert containment_protrusion(grown, omega) <= EPS_GEOM
         assert containment_protrusion(omega, grown) <= EPS_GEOM
 
+    def test_absorption_where_a_segment_grazes_a_corner(self):
+        # Omega's image passes within 1 ulp of one of Omega's corners here;
+        # an envelope that let a strict win drop such a corner lost up to
+        # 0.087 of radius
+        params = NormalForm2D(1.9080925437571834, 1.4, -0.35480293933389817, -1.2)
+        v = ga92(params)
+        assert v.status is CertificateStatus.STABLE
+        omega = v.omega_final
+        grown = union_star(omega, image_polygon(params, omega))
+        assert containment_protrusion(grown, omega) <= EPS_GEOM
+        assert containment_protrusion(omega, grown) <= EPS_GEOM
+
+    @pytest.mark.parametrize(
+        "pt, m, bound",
+        [
+            ((-0.91300769290359, 0.21510963595009863, -1.0174404909871324,
+              -0.19367539190575722), 20, 1e-8),
+            ((-0.44455672361609877, 0.20524169323351724, -0.2682237993003542,
+              -0.9005284260270023), 30, 1e-5),
+        ],
+    )
+    def test_union_keeps_nearly_radial_segments(self, pt, m, bound):
+        # Omega_m = Delta_0 u ... u Delta_m must contain each Delta_i.  The
+        # generations here have nearly radial segments (1e-10 rad wide), whose
+        # line is ill-conditioned at their own ends: reading it there instead
+        # of the end point's radius lost 7.2e-7 and 5.3e-2 of radius (the
+        # protrusions now read 3.6e-9 and 2.0e-6)
+        gens = delta_sequence(NormalForm2D(*pt), m)
+        omega = functools.reduce(union_star, gens)
+        assert max(containment_protrusion(omega, g) for g in gens) <= bound
+
     def test_verdict_scale_free(self):
-        # the seed triangle's size cannot matter for a homogeneous map;
-        # only the iteration budget shifts, so give k room to grow
+        # the seed triangle's size cannot matter for a homogeneous map: the
+        # seed is rescaled to radius 1 first
         cases = [
             (PT_STABLE, CertificateStatus.STABLE, (0.25, 4.0)),
             ((2.3, 1.4, -1.9, -1.2), CertificateStatus.NOT_DECIDED, (1e-12,)),
@@ -182,7 +207,7 @@ class TestVerdictInvariants:
             assert ga92(params, m_max=30).status is status
             for alpha in alphas:
                 seed = StarPolygon.unit_triangle().scaled(alpha)
-                v = stability_iteration(params, seed, m_max=30, k_max=5000)
+                v = stability_iteration(params, seed, m_max=30)
                 assert v.status is status
 
     def test_stable_point_has_fully_attracted_measure(self):
