@@ -231,13 +231,15 @@ def union_star(a: StarPolygon, b: StarPolygon) -> StarPolygon:
     the two chains at every grid angle, one point where the two sides agree
     to 1e-11 relative and a jump pair where they do not.  It can switch
     chains only at one interior crossing per cell, placed exactly from the
-    four radii at the cell's ends.  A grid angle where one chain has no
-    point of its own and beats the other on both sides by more than 1e-12
-    relative lies inside that chain's straight segment, so the envelope runs
-    through it and emits nothing there; near ties keep the point.  So the
-    union's points are input chain points plus crossings, with no pruning
-    pass.  Supports must overlap or touch (a union with a gap of empty
-    angles would not be star-shaped with one chain).
+    four radii at the cell's ends; a crossing within ANGLE_TOL of a cell end
+    is dropped.  A grid angle where one chain has no point of its own and
+    beats the other on both sides by more than 1e-12 relative lies inside
+    that chain's straight segment, so the envelope runs through it and emits
+    nothing there, unless a cell next to it lost its crossing; near ties
+    keep the point.  So the union's points are input chain points plus
+    crossings, with no pruning pass.  Supports must overlap or touch (a
+    union with a gap of empty angles would not be star-shaped with one
+    chain).
     """
     a0, a1 = a.support
     b0, b1 = b.support
@@ -274,6 +276,10 @@ def union_star(a: StarPolygon, b: StarPolygon) -> StarPolygon:
         inside = (grid[cells] + ANGLE_TOL < phi) & (phi < grid[cells + 1] - ANGLE_TOL)
         cross_phi[cells[inside]] = phi[inside]
         cross_r[cells[inside]] = np.hypot(qx, qy)[inside]
+        # Beyond a cell whose crossing is dropped the next kept point lies on
+        # the other chain, so the envelope cannot run through either end.
+        lost = cells[~inside]
+        through[lost] = through[lost + 1] = False
 
     # (below, above, crossing) per grid angle, in that order.  The grid ends
     # lie at the ends of the supports, where the outer sides read 0; a

@@ -164,6 +164,20 @@ class TestUnion:
             assert np.array_equal(u.angles, a.angles)
             assert np.array_equal(u.radii, a.radii)
 
+    def test_point_next_to_dropped_crossing_is_kept(self):
+        # the chains cross inside a cell narrower than 2 * ANGLE_TOL, so the
+        # crossing is dropped; a's line through angle 1 must stay a point, or
+        # the chord from b's spike to a's end would cut outside both chains
+        a = chain([0.0, 2.0], [1.0, 1.0])
+        b = chain([1.0 - 1.5e-12, 1.0], [5.0, 0.3])
+        for u in (union_star(a, b), union_star(b, a)):
+            assert u.radius_at(1.5) == pytest.approx(a.radius_at(1.5), rel=1e-12)
+            assert containment_protrusion(u, a) <= 0.0
+            assert containment_protrusion(u, b) <= 0.0
+            phi = np.linspace(0.0, 2.0, 2001)
+            top = np.maximum(a.radius_at(phi), b.radius_at(phi))
+            assert np.all(u.radius_at(phi) <= top * (1.0 + 1e-12))
+
     def test_result_contains_both_inputs(self):
         a = chain([0.2, 1.1, 1.1, 2.9], [0.8, 1.7, 0.9, 1.2])
         b = chain([0.0, 0.7, 2.2], [1.1, 0.3, 2.5])
