@@ -183,8 +183,6 @@ def _cmd_ga92(args) -> int:
     print(f"status={verdict.status.value}")
     if verdict.m is not None:
         print(f"m={verdict.m}")
-    if verdict.k is not None:
-        print(f"k={verdict.k}")
     if verdict.witness is not None:
         w = verdict.witness
         print(f"witness_period={w.period}")
@@ -232,6 +230,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+M_MAX_HELP = "largest m reported for a certified point (at least 1); a Stable verdict has m = 1"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: ``main`` may run many times in-process."""
@@ -270,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_rho)
 
-    sp = sub.add_parser("ga92", help="polygon-iteration asymptotic stability certificate")
+    sp = sub.add_parser("ga92", help="sub-action asymptotic stability certificate")
     _add_params(sp)
-    sp.add_argument("--m-max", type=int, default=30)
+    sp.add_argument("--m-max", type=int, default=30, help=M_MAX_HELP)
     sp.set_defaults(func=_cmd_ga92)
 
     sp = sub.add_parser("polygons", help="dump iterated triangle images as CSV")
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pgm", default=None, help="also write an 8-bit PGM image here")
     sp.add_argument("--samples", type=int, default=100, help="measure mode: samples per cell")
     sp.add_argument("--seed", type=int, default=0, help="measure mode: base seed")
-    sp.add_argument("--m-max", type=int, default=30)
+    sp.add_argument("--m-max", type=int, default=30, help=M_MAX_HELP)
     sp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     sp.set_defaults(func=_cmd_sweep)
 

@@ -1,9 +1,11 @@
-"""Star-shaped polygon engine certifying asymptotic stability by forward images.
+"""Star-shaped polygon geometry and the asymptotic-stability certificate.
 
-The seed triangle with corners (0,0), (1,0), (0,1) is grown by repeated
-images under the planar piecewise-linear map; the origin is asymptotically
-stable exactly when some accumulated region maps into itself and a further
-iterate clears the open segment from (1,0) to (0,1).  Positive homogeneity
+``ga92`` decides stability from a sub-action of the arc graph of the circle
+map (``sphere.sub_action``): the sub-action bounds |g^t x| by C exp(-eta t)
+|x|, and the star region with radius exp(-(v_i - min v)) on arc i maps into
+itself.  The polygon layer re-checks that one image, so a Stable verdict
+has m = 1.  ``delta_sequence`` grows the seed triangle (0,0), (1,0), (0,1)
+by repeated images for the ``polygons`` command.  Positive homogeneity
 keeps every region in play star-shaped about the origin, so regions are
 stored as a radial boundary chain r(phi) over an angular support inside
 [0, pi], and set union / containment / separation all reduce to comparing
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateImageError, RegimeError
 from .maps import NormalForm2D, PWLMap
-from .sphere import HALF_PI, PeriodicOrbit, periodic_orbits_G
+from .sphere import HALF_PI, PeriodicOrbit, SubAction, periodic_orbits_G, sub_action
 
 EPS_GEOM = 1e-9
 ANGLE_TOL = 1e-12
@@ -437,14 +439,19 @@ class CertificateStatus(Enum):
 
 @dataclass(frozen=True)
 class Ga92Verdict:
-    """Outcome of the forward-image stability certificate.
+    """Outcome of the stability certificate.
 
-    ``m`` is the first generation whose accumulated region Omega_m (the
-    union of generations Delta_0 .. Delta_m) maps into itself, ``k`` the
-    first extra iterate that clears the unit segment; the residual at each
-    m tried is the worst radial protrusion of Delta_{m+1} over Omega_m.  An
-    instability witness is a periodic ray orbit whose average log-stretch
-    is positive, which rules out Lyapunov stability outright.
+    A ``Stable`` verdict carries a sub-action of the arc graph of G and the
+    region ``omega_final`` built from it, which maps into itself: ``m`` is 1,
+    the one image that the polygon layer re-checks, and
+    ``containment_residuals`` holds that image's worst radial protrusion
+    over the region.  ``m_max`` only bounds the reported m.  ``k`` is always
+    None: no iterate has to clear the unit segment, since the sub-action
+    gives the decay rate itself.  ``k_max`` is 2 * m_max, the bound the
+    former generation loop put on k; it bounds nothing now, and stays so
+    that the record, and ``analyze --json``, keep their layout.  An instability
+    witness is a periodic ray orbit whose average log-stretch is positive,
+    which rules out Lyapunov stability outright.
     """
 
     status: CertificateStatus
@@ -466,40 +473,45 @@ def _check_certificate_regime(params: NormalForm2D) -> None:
     raise RegimeError("certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)")
 
 
-def stability_iteration(
-    params: NormalForm2D,
-    seed: StarPolygon,
-    m_max: int = 30,
-) -> Ga92Verdict:
-    """Run the containment/separation iteration from an arbitrary seed region.
+# Arc counts tried for a sub-action, in order.  A chord of one arc dips to
+# cos(pi / 2n) of its radius, below the sub-action's margin exp(-eta) from
+# n = 2048 on, so the region built from it maps into itself.
+SUB_ACTION_ARCS = (2048, 8192)
 
-    The generations are Delta_0 = seed and Delta_i = g(Delta_{i-1}); their
-    running union Omega_m serves only as a containment target and is never
-    mapped.  Since g(Omega_m) = Delta_1 u ... u Delta_{m+1} and Delta_1 ..
-    Delta_m already lie in Omega_m, Omega_m maps into itself when Delta_{m+1}
-    does not protrude over it; that protrusion is the residual at m.  Then
-    g^k(Omega_m) = Delta_k u ... u Delta_{m+k}, so k is the first k >= 1 with
-    those m + 1 generations all clear of the unit segment, up to
-    k_max = 2 * m_max.
 
-    Exposed separately because the outcome is homogeneous: scaling the seed
-    leaves the decision unchanged (only m and k may shift).  The seed is
-    first scaled to a largest radius of 1, the scale the containment slack
-    and the unit segment are set for, so ``omega_final`` is in that frame.
-    The public entry point ``ga92`` seeds with the unit triangle.
+def _sub_action_region(sa: SubAction) -> StarRegion:
+    """The star region with radius exp(-(v_i - min v)) on arc i.
+
+    Each arc contributes its two ends at its own radius; where two arcs
+    meet, equal radii share one point and different radii make a jump pair.
+    The largest radius is 1.
+    """
+    rho = np.exp(-(sa.v - sa.v.min()))
+    ang = np.repeat(sa.edges, 2)[1:-1]
+    rad = np.repeat(rho, 2)
+    keep = np.append(True, (np.diff(ang) != 0.0) | (np.diff(rad) != 0.0))
+    return StarPolygon(ang[keep], rad[keep])
+
+
+def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
+    """Decide asymptotic stability of the origin on the unit circle.
+
+    Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
+    searches the periodic ray orbits of period <= WITNESS_P_MAX for an
+    instability witness.  Otherwise it looks for a sub-action of the arc
+    graph of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first
+    one found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min
+    v), and its region (``_sub_action_region``) must map into itself under
+    the polygon layer with a protrusion of at most EPS_GEOM / 10; then the
+    verdict is Stable with m = 1.  A failed re-check, or no sub-action
+    within the round budget, is NotDecided.
     """
     _check_certificate_regime(params)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    k_max = 2 * m_max
 
-    residuals: list[float] = []
-    omega: StarRegion | None = None
-
-    def verdict(status, m=None, k=None, witness=None, note="") -> Ga92Verdict:
-        return Ga92Verdict(
-            status, m, k, m_max, k_max, witness, tuple(residuals), omega, note
-        )
+    def verdict(status, m=None, witness=None, residuals=(), omega=None, note=""):
+        return Ga92Verdict(status, m, None, m_max, 2 * m_max, witness, residuals, omega, note)
 
     witnesses = [
         o
@@ -513,59 +525,34 @@ def stability_iteration(
             note="periodic ray orbit with positive average log-stretch",
         )
 
-    gens = [seed.scaled(1.0 / float(np.max(seed.radii)))]
-
-    def generation(i: int) -> StarPolygon:
-        while len(gens) <= i:
-            gens.append(image_polygon(params, gens[-1]))
-        return gens[i]
-
-    omega = gens[0]
-    for m in range(1, m_max + 1):
-        omega = union_star(omega, generation(m))
-        prot = containment_protrusion(omega, generation(m + 1))
-        residuals.append(prot)
-        if prot <= EPS_GEOM:
-            # Certify only with a margin well below the containment slack;
-            # protrusions between the two thresholds sit too close to the
-            # stability boundary to trust at this precision.
-            if prot > EPS_GEOM / 10.0:
-                return verdict(
-                    CertificateStatus.NOT_DECIDED,
-                    m,
-                    note="containment holds only marginally; parameters sit near the boundary",
-                )
-            # The first run of m + 1 consecutive clear generations after
-            # the seed ends at i = m + k.
-            run = 0
-            for i in range(1, m + k_max + 1):
-                run = run + 1 if separated_from_gamma(generation(i)) else 0
-                if run > m:
-                    return verdict(CertificateStatus.STABLE, m, i - m)
+    for n in SUB_ACTION_ARCS:
+        sa = sub_action(params, n)
+        if sa.v is None:
+            continue
+        omega = _sub_action_region(sa)
+        residual = containment_protrusion(omega, image_polygon(params, omega))
+        if residual > EPS_GEOM / 10.0:
             return verdict(
                 CertificateStatus.NOT_DECIDED,
-                m,
-                note="trapped region found but no iterate cleared the unit segment",
+                residuals=(residual,),
+                omega=omega,
+                note=f"sub-action at n = {n} failed the polygon re-check, residual {residual:.3g}",
             )
+        spread = float(sa.v.max() - sa.v.min())
+        return verdict(
+            CertificateStatus.STABLE,
+            1,
+            residuals=(residual,),
+            omega=omega,
+            note=(
+                f"sub-action at n = {n} after {sa.rounds} rounds: "
+                f"|g^t x| <= C*exp(-{sa.eta:g}*t)*|x| with C = {math.exp(spread):.6g}"
+            ),
+        )
     return verdict(
         CertificateStatus.NOT_DECIDED,
-        note="no generation mapped into the accumulated region within the budget",
+        note=f"no sub-action within the round budget at n = {SUB_ACTION_ARCS[-1]}",
     )
-
-
-def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
-    """Decide asymptotic stability of the origin by forward polygon images.
-
-    Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
-    searches the periodic ray orbits of period <= WITNESS_P_MAX for an
-    instability witness; otherwise runs ``stability_iteration`` from the
-    unit triangle: its union Omega_m of generations maps into itself once
-    Delta_{m+1} does not protrude over it (the residual at m), and some
-    further iterate of Omega_m must clear the segment from (1,0) to (0,1).
-    Both checks passing certifies asymptotic stability; budgets exhausted
-    means NotDecided.
-    """
-    return stability_iteration(params, StarPolygon.unit_triangle(), m_max)
 
 
 def delta_sequence(params: NormalForm2D | PWLMap, n: int) -> list[StarPolygon]:

@@ -112,6 +112,103 @@ def circle_G(params: NormalForm2D, theta):
     return float(out) if np.isscalar(theta) or out.ndim == 0 else out
 
 
+# Decay per step that a sub-action certifies, and the rounds its
+# Bellman-Ford run may take.
+SUB_ACTION_ETA = 1e-6
+SUB_ACTION_ROUNDS = 100
+# Padding, in radians, of each arc's image cone.
+ARC_PAD = 1e-12
+
+
+@dataclass(frozen=True)
+class SubAction:
+    """Arc graph of the circle map over [0, pi), and a sub-action on it.
+
+    Arc i is [edges[i], edges[i + 1]].  ``w[i]`` bounds ln D from above on
+    the arc, and its successors are the arcs lo[i] .. hi[i] that meet its
+    image cone.  ``v`` is None when ``rounds`` ran out; otherwise v >= 0
+    and v_i >= w_i + eta + max(v[lo_i .. hi_i]) for every arc, so along
+    every orbit the sum of ln D over t steps is at most
+    -eta * t + max(v) - min(v).
+    """
+
+    edges: np.ndarray
+    w: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    v: np.ndarray | None
+    rounds: int
+    eta: float = SUB_ACTION_ETA
+
+
+def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
+    """Bound the top Lyapunov exponent over the invariant measures of G.
+
+    Cuts [0, pi) into ``n_arcs`` equal arcs (an even number, so that the
+    switching ray pi/2 is an edge), each acted on by its own side's matrix.
+    On one side D^2 = c0 + ca cos 2t + cb sin 2t with c0 = (tau^2 + delta^2
+    + 1) / 2, ca = (tau^2 + delta^2 - 1) / 2 and cb = tau, so its maximum on
+    an arc is at an end, or c0 + hypot(ca, cb) at t* = atan2(cb, ca) / 2 mod
+    pi when t* lies in the arc; w is half the log of that maximum.  G is
+    monotone on each side, so the image of an arc is the cone between the
+    images of its ends, padded by ARC_PAD, and its successors form one
+    index range.
+
+    Jacobi Bellman-Ford, v <- max(0, w + eta + max(v[lo .. hi])) from v = 0,
+    with the range maxima read from a sparse table, stops when v repeats
+    exactly, after at most SUB_ACTION_ROUNDS rounds.  A fixed point exists
+    exactly when no cycle of the arc graph has a mean weight above -eta,
+    which bounds the integral of ln D by -eta for every invariant measure
+    of G (ergodic optimisation on the symbolic image of G).
+    """
+    _require_sign_regime(params)
+    if n_arcs < 2 or n_arcs % 2:
+        raise ValueError("n_arcs must be even and at least 2")
+    half = n_arcs // 2
+    edges = np.arange(n_arcs + 1) * (math.pi / n_arcs)
+    edges[half] = HALF_PI
+    # The two sides agree at the edge pi/2, so one image per edge serves the
+    # arcs on both sides of it.
+    x, y = _image_components(params, edges)
+    image = np.arctan2(y, x)
+    d2 = x * x + y * y
+
+    d2_max = np.maximum(d2[:-1], d2[1:])
+    for tau, delta, arcs in (
+        (params.tau_R, params.delta_R, slice(0, half)),
+        (params.tau_L, params.delta_L, slice(half, n_arcs)),
+    ):
+        c0 = 0.5 * (tau * tau + delta * delta + 1.0)
+        ca = 0.5 * (tau * tau + delta * delta - 1.0)
+        peak = 0.5 * math.atan2(tau, ca) % math.pi
+        inside = (edges[arcs] <= peak) & (peak <= edges[1:][arcs])
+        d2_max[arcs][inside] = c0 + math.hypot(ca, tau)
+    w = 0.5 * np.log(d2_max)
+
+    cone_lo = np.minimum(image[:-1], image[1:]) - ARC_PAD
+    cone_hi = np.maximum(image[:-1], image[1:]) + ARC_PAD
+    lo = np.searchsorted(edges[1:], cone_lo, "left")
+    hi = np.searchsorted(edges[:-1], cone_hi, "right") - 1
+
+    # Range maximum of [lo, hi] as the larger of two overlapping windows of
+    # 2^k arcs, read from level k of the sparse table.
+    level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
+    tail = hi - (1 << level) + 1
+    table = np.full((int(level.max()) + 1, n_arcs), -np.inf)
+    base = w + SUB_ACTION_ETA
+    v = np.zeros(n_arcs)
+    for rounds in range(1, SUB_ACTION_ROUNDS + 1):
+        table[0] = v
+        for k in range(1, table.shape[0]):
+            span = 1 << (k - 1)
+            np.maximum(table[k - 1, :-span], table[k - 1, span:], out=table[k, :-span])
+        new = np.maximum(0.0, base + np.maximum(table[level, lo], table[level, tail]))
+        if np.array_equal(new, v):
+            return SubAction(edges, w, lo, hi, v, rounds)
+        v = new
+    return SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS)
+
+
 @dataclass(frozen=True)
 class MeasureEstimate:
     """Birkhoff average of ln D along an angular orbit, with batch-mean error."""

@@ -2,8 +2,8 @@
 
 Two modes: a Monte-Carlo sweep recording the fraction of sampled initial
 points whose orbits converge to the origin, and a certificate sweep
-recording the smallest generation at which the polygon-iteration stability
-test succeeds.  Per-cell seeds are mixed from the base seed and the cell
+recording where ``ga92`` certifies stability (m = 1) and where it declines
+(-1).  Per-cell seeds are mixed from the base seed and the cell
 indices, so results are bit-identical no matter how cells are scheduled
 across workers.
 """
@@ -82,8 +82,9 @@ class GridResult:
 
     Measure mode: ``values`` holds converged fractions and ``undecided`` the
     budget-exhausted fractions.  Asymptotic mode: ``values`` holds the
-    smallest self-mapping generation, or -1 where the certificate declined
-    (out of regime, not decided, or an instability witness was found).
+    verdict's m, which is 1 wherever ``ga92`` certifies stability, or -1
+    where the certificate declined (out of regime, not decided, or an
+    instability witness was found).
     """
 
     spec: GridSpec
@@ -100,7 +101,7 @@ def _measure_cell(spec: GridSpec, i: int, j: int, samples: int, base_seed: int):
 
 
 def _asymptotic_cell(spec: GridSpec, i: int, j: int, m_max: int) -> int:
-    """Certified generation m of cell (i, j), or -1 where ga92 declines."""
+    """The m of cell (i, j)'s Stable verdict, or -1 where ga92 declines."""
     params = spec.params(i, j)
     if not params.in_certificate_regime:
         return -1
@@ -133,11 +134,13 @@ def sweep_measure(
 
 
 def sweep_asymptotic(spec: GridSpec, m_max: int = 30, workers: int = 1) -> GridResult:
-    """Certificate sweep recording the smallest self-mapping generation m.
+    """Certificate sweep recording the m of each cell's ``ga92`` verdict.
 
-    Cells outside the certificate's regime (tau_L >= 2 sqrt(delta_L)) are
-    marked with the sentinel -1, as are NotDecided cells and cells with an
-    instability witness.
+    A Stable verdict has m = 1: its sub-action region maps into itself in
+    one image.  ``m_max`` (at least 1) only bounds the m that may be
+    reported, so it changes no verdict.  Cells outside the certificate's
+    regime (tau_L >= 2 sqrt(delta_L)) are marked with the sentinel -1, as
+    are NotDecided cells and cells with an instability witness.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through fresh interpreter processes."""
 
 import hashlib
+import importlib
 import json
 import shlex
 import subprocess
@@ -18,6 +19,7 @@ FOLD_ARGS = ["--tl", "2.5", "--dl", "1.4", "--tr", "-0.5", "--dr", "-1.2"]
 UNSTABLE_ARGS = ["--tl", "1.4", "--dl", "1.4", "--tr", "-1.4", "--dr", "-1.2"]
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Key paths of `analyze --json`; the items of a list of dicts share its path.
 REPORT_KEYS = {
@@ -138,9 +140,9 @@ class TestAnalyze:
         "point, digest",
         [
             (PT_FOLD, "ea01654e340d2edbe478c5ff834f5383e432db66af0b1a69c67b60b4cb3937bb"),
-            (PT_STABLE, "fe4bca9fdb67be344a790e535093439798fd60bbbea77d40aca9231e91b440a0"),
+            (PT_STABLE, "7d16b04c8ec362c0dc6067067d61f405d402adac01e707dc3afbcdaf86066a68"),
             (PT_UNSTABLE, "cd240ba14d292d77fbf11e72a41de81fc7015e39516436fb16e22f8eed7161cf"),
-            (PT_CONTRACT, "4b3fb5d7c548a511b4371d2c4dbcbd470b2cfbade1ddfef1a48a6dcb8954c0a3"),
+            (PT_CONTRACT, "0468cc7e02133c6d868d9fbeb90040654325b956d1cb8192b064c1bee08ebe70"),
         ],
         ids=["fold", "stable", "unstable", "contract"],
     )
@@ -327,3 +329,30 @@ class TestExitCodes:
         )
         assert out.returncode == 1
         assert "i/o error" in out.stderr
+
+
+class TestBenchEntryPoints:
+    """The benchmark looks up its traced layers by name and calls the CLI
+    with fixed options; removing either fails every benchmark run."""
+
+    def test_traced_names_resolve(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        tracing = importlib.import_module("tracing")
+        for layer, names in tracing.TRACED.items():
+            home = importlib.import_module(f"pwlstab.{layer}")
+            for qual in names:
+                obj = home
+                for part in qual.split("."):
+                    obj = getattr(obj, part)
+                assert callable(obj), f"{layer}.{qual}"
+
+    def test_workload_calls_parse(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        parser = cli.build_parser()
+        for make in workloads.WORKLOADS.values():
+            for argv in make(1, tmp_path).calls:
+                args = parser.parse_args(argv)
+                if args.command == "sweep" and args.mode == "asymptotic":
+                    assert args.m_max == 30
+        assert parser.parse_args(["ga92", *STABLE_ARGS, "--m-max", "30"]).m_max == 30

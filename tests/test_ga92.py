@@ -1,4 +1,5 @@
-"""Polygon-iteration stability certificate and its supporting invariants."""
+"""The stability certificate (sub-action plus polygon re-check) and the
+polygon layer's supporting invariants."""
 
 import functools
 import hashlib
@@ -17,10 +18,9 @@ from pwlstab import (
     delta_sequence,
     ga92,
     image_polygon,
+    polygons,
     region_contains,
     rho_sampled,
-    separated_from_gamma,
-    stability_iteration,
     union_star,
 )
 
@@ -38,7 +38,7 @@ class TestVerdicts:
     def test_stable_point(self):
         v = ga92(NormalForm2D(*PT_STABLE), m_max=30)
         assert v.status is CertificateStatus.STABLE
-        assert v.m == 2 and v.k == 2
+        assert v.m == 1 and v.k is None
         assert v.witness is None
         assert v.containment_residuals[-1] <= EPS_GEOM / 10
 
@@ -67,31 +67,36 @@ class TestVerdicts:
         assert v.m is None and v.k is None
         assert "budget" in v.note
 
-    def test_k_budget_failure_is_reported(self):
-        # Omega_3 maps into itself, but no m + 1 = 4 consecutive generations
-        # up to Delta_{m + k_max} = Delta_63 clear the unit segment
+    def test_trapped_but_not_cleared_cell_is_stable(self):
+        # the generation loop trapped this cell at m = 3 but no iterate up
+        # to Delta_63 cleared the unit segment; the sub-action needs none
         v = ga92(NormalForm2D(0.7, 1.4, -0.7142857142857144, -1.2))
-        assert v.status is CertificateStatus.NOT_DECIDED
-        assert v.m == 3 and v.k is None and v.k_max == 60
-        assert "no iterate cleared" in v.note
+        assert v.status is CertificateStatus.STABLE
+        assert v.m == 1 and v.k is None
+        assert v.containment_residuals[0] < 0.0
 
     @pytest.mark.parametrize(
-        "pt",
+        "pt, n_samples, orbit_budget",
         [
-            (-0.4613, 0.9460, -2.1263, -0.4840),
-            (-0.0840, 0.8219, -2.1121, -0.8999),
-            (-0.5396, 1.8114, -1.0113, -0.7846),
+            ((-0.4613, 0.9460, -2.1263, -0.4840), 2000, 10_000),
+            # lambda_hat is -0.00142 here, so an orbit needs about 15 000
+            # steps at that rate to shrink by 1e-9, and the transients take
+            # longer still: with 10 000 steps every sample stays undecided
+            ((-0.0840, 0.8219, -2.1121, -0.8999), 64, 400_000),
+            ((-0.5396, 1.8114, -1.0113, -0.7846), 2000, 10_000),
         ],
+        ids=["pt0", "pt1", "pt2"],
     )
-    def test_small_iterates_are_not_degenerate(self, pt):
-        # tau_L < 0: the chain's inner radius drops to about 1e-13 while the
-        # side matrices stay invertible, so the image must not count as a
+    def test_small_iterates_are_not_degenerate(self, pt, n_samples, orbit_budget):
+        # tau_L < 0: the generations' inner radius drops to about 1e-13 while
+        # the side matrices stay invertible, so an image must not count as a
         # collapse onto the origin
         params = NormalForm2D(*pt)
         v = ga92(params)
         assert v.status in (CertificateStatus.STABLE, CertificateStatus.NOT_DECIDED)
+        delta_sequence(params, 30)
         if v.status is CertificateStatus.STABLE:
-            est = rho_sampled(params, n_samples=2000, seed=0)
+            est = rho_sampled(params, n_samples=n_samples, orbit_budget=orbit_budget, seed=0)
             assert est.rho_hat == 1.0
             assert est.undecided_fraction == 0.0
 
@@ -113,6 +118,24 @@ class TestVerdicts:
         assert est.rho_hat == 1.0
         assert est.undecided_fraction == 0.0
 
+    def test_notes_explain_the_verdict(self):
+        v = ga92(NormalForm2D(*PT_STABLE))
+        assert v.note == (
+            "sub-action at n = 2048 after 5 rounds: "
+            "|g^t x| <= C*exp(-1e-06*t)*|x| with C = 4.36269"
+        )
+        v = ga92(NormalForm2D(2.3, 1.4, -1.9, -1.2))
+        assert v.note == "no sub-action within the round budget at n = 8192"
+
+    def test_failed_recheck_is_not_decided(self, monkeypatch):
+        # a region whose image protrudes by more than EPS_GEOM / 10 certifies
+        # nothing, whatever the sub-action says
+        monkeypatch.setattr(polygons, "containment_protrusion", lambda *a: EPS_GEOM / 5)
+        v = ga92(NormalForm2D(*PT_STABLE))
+        assert v.status is CertificateStatus.NOT_DECIDED
+        assert v.m is None and v.containment_residuals == (EPS_GEOM / 5,)
+        assert "failed the polygon re-check" in v.note
+
     def test_rejects_rotating_left_half(self):
         with pytest.raises(RegimeError, match="2\\*sqrt"):
             ga92(NormalForm2D(2.5, 1.4, -0.5, -1.2))
@@ -127,7 +150,7 @@ class TestVerdicts:
 class TestAcceptancePlane:
     def test_outcomes_pinned(self):
         # (status, m, k) over the 88 in-regime cells of the 16x8 acceptance
-        # plane, row-major with tau_L outer: 65 witness, 14 Stable and 9
+        # plane, row-major with tau_L outer: 65 witness, 17 Stable and 6
         # NotDecided cells.  A geometry change that flips any verdict, m or
         # k changes this digest.
         out = []
@@ -139,21 +162,35 @@ class TestAcceptancePlane:
                     out.append((v.status.value, v.m, v.k))
         assert len(out) == 88
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
-        assert digest == "51d209233c06f51b3f4474e96ea5ba0440cea5b9f9c0dfe50280dc20da2adb9e"
+        assert digest == "74b53b912c8e1594f20c26c52cf3eaf2999de78ea3ac4d4315cba7a0facdb84e"
+
+    def test_certified_regions_pass_the_recheck(self):
+        # every Stable cell's region maps into itself with a negative
+        # residual, re-read here from the returned region
+        residuals = []
+        for tl in np.linspace(0.0, 3.5, 16):
+            for tr in np.linspace(-2.0, 1.0, 8):
+                params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
+                if params.tau_L < params.left_spiral_bound:
+                    v = ga92(params, m_max=30)
+                    if v.status is CertificateStatus.STABLE:
+                        omega = v.omega_final
+                        residuals.append(containment_protrusion(omega, image_polygon(params, omega)))
+                        assert residuals[-1] == v.containment_residuals[0]
+        assert len(residuals) == 17
+        assert max(residuals) < 0.0
 
 
 class TestVerdictInvariants:
     def test_stable_certificate_recheck(self):
-        # replay the certified facts from the returned region: the region
-        # maps into itself, and the k-th image clears the unit segment
+        # replay the certified fact from the returned region: it maps into
+        # itself with room to spare
         params = NormalForm2D(*PT_STABLE)
         v = ga92(params, m_max=30)
         omega = v.omega_final
         img = image_polygon(params, omega)
         assert region_contains(omega, img)
-        for _ in range(v.k - 1):
-            img = image_polygon(params, img)
-        assert separated_from_gamma(img)
+        assert containment_protrusion(omega, img) == v.containment_residuals[0] < 0.0
 
     def test_monotone_absorption(self):
         # once trapped, adding the next image changes nothing
@@ -196,19 +233,20 @@ class TestVerdictInvariants:
         assert max(containment_protrusion(omega, g) for g in gens) <= bound
 
     def test_verdict_scale_free(self):
-        # the seed triangle's size cannot matter for a homogeneous map: the
-        # seed is rescaled to radius 1 first
+        # the certified region's size cannot matter for a homogeneous map:
+        # a scaled copy maps into itself too
         cases = [
-            (PT_STABLE, CertificateStatus.STABLE, (0.25, 4.0)),
-            ((2.3, 1.4, -1.9, -1.2), CertificateStatus.NOT_DECIDED, (1e-12,)),
+            (PT_STABLE, CertificateStatus.STABLE),
+            ((2.3, 1.4, -1.9, -1.2), CertificateStatus.NOT_DECIDED),
         ]
-        for pt, status, alphas in cases:
+        for pt, status in cases:
             params = NormalForm2D(*pt)
-            assert ga92(params, m_max=30).status is status
-            for alpha in alphas:
-                seed = StarPolygon.unit_triangle().scaled(alpha)
-                v = stability_iteration(params, seed, m_max=30)
-                assert v.status is status
+            v = ga92(params, m_max=30)
+            assert v.status is status
+            if v.omega_final is not None:
+                for alpha in (1e-12, 0.25, 4.0):
+                    omega = v.omega_final.scaled(alpha)
+                    assert containment_protrusion(omega, image_polygon(params, omega)) < 0.0
 
     def test_stable_point_has_fully_attracted_measure(self):
         est = rho_sampled(NormalForm2D(*PT_STABLE), n_samples=2000, seed=5)

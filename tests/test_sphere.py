@@ -43,8 +43,9 @@ from pwlstab import (
     invariant_rays,
     periodic_orbits_G,
     sphere_eval,
+    sub_action,
 )
-from pwlstab.sphere import N_BATCHES, _block_length
+from pwlstab.sphere import N_BATCHES, SUB_ACTION_ROUNDS, _block_length
 
 # Started at u(0.5), its 7th block of 16 steps starts from the float state
 # the 6th started from, and so does every later block.
@@ -518,3 +519,47 @@ class TestPeriodicOrbits:
         hit = [o for o in p6 if abs(o.thetas[0] - 1.129603) < 1e-6]
         assert len(hit) == 1
         assert hit[0].lambda_value == pytest.approx(-1.4037, abs=1e-4)
+
+
+class TestSubAction:
+    @pytest.mark.parametrize("pt", [PT_STABLE, PT_CONTRACT], ids=["stable", "contract"])
+    def test_certified_at_2048(self, pt):
+        sa = sub_action(NormalForm2D(*pt), 2048)
+        assert sa.v is not None and sa.rounds < SUB_ACTION_ROUNDS
+
+    @pytest.mark.parametrize("pt", [PT_STABLE, PT_CONTRACT], ids=["stable", "contract"])
+    def test_returned_arrays_satisfy_the_inequality(self, pt):
+        # re-verify each arc from the returned arrays alone, one slice at a time
+        sa = sub_action(NormalForm2D(*pt), 2048)
+        v = sa.v
+        assert np.all(v >= 0.0)
+        for i in range(v.size):
+            assert v[i] >= sa.w[i] + sa.eta + v[sa.lo[i] : sa.hi[i] + 1].max()
+
+    @pytest.mark.parametrize("pt", [PT_STABLE, PT_UNSTABLE, PT_CONTRACT])
+    def test_graph_bounds_the_circle_map(self, pt):
+        # points inside each arc: ln D stays below the arc's weight, and the
+        # image angle lands in the arc's successor range
+        params = NormalForm2D(*pt)
+        sa = sub_action(params, 512)
+        assert sa.edges[256] == math.pi / 2
+        frac = np.linspace(0.0, 1.0, 7)[1:-1]
+        lo_edge, hi_edge = sa.edges[:-1], sa.edges[1:]
+        theta = (lo_edge[:, None] + frac * (hi_edge - lo_edge)[:, None]).ravel()
+        arc = np.repeat(np.arange(512), frac.size)
+        assert np.all(np.log(circle_D(params, theta)) <= sa.w[arc] + 1e-12)
+        image = circle_G(params, theta)
+        assert np.all(image >= sa.edges[sa.lo[arc]])
+        assert np.all(image <= sa.edges[sa.hi[arc] + 1])
+
+    @pytest.mark.parametrize("n_arcs", [512, 2048])
+    def test_unstable_point_is_never_certified(self, n_arcs):
+        # PT_UNSTABLE has an expanding period-3 orbit: no sub-action exists
+        sa = sub_action(NormalForm2D(*PT_UNSTABLE), n_arcs)
+        assert sa.v is None and sa.rounds == SUB_ACTION_ROUNDS
+
+    def test_rejects_odd_arc_counts_and_wrong_signs(self):
+        with pytest.raises(ValueError, match="even"):
+            sub_action(NormalForm2D(*PT_STABLE), 511)
+        with pytest.raises(RegimeError):
+            sub_action(NormalForm2D(1.0, -0.2, -0.5, -1.2), 512)

@@ -108,7 +108,7 @@ class TestMeasureSweep:
 class TestAsymptoticSweep:
     def test_stable_cell_records_generation(self):
         res = sweep_asymptotic(spec1(2.0, -0.8), m_max=30)
-        assert res.values[0, 0] == 2
+        assert res.values[0, 0] == 1
         assert res.mode is GridMode.ASYMPTOTIC
         assert res.m_max == 30
 
@@ -165,7 +165,7 @@ class TestCsvOutput:
         write_grid_csv(res, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "tau_L,tau_R,value"
-        assert lines[1].split(",")[2] == "2"
+        assert lines[1].split(",")[2] == "1"
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = GridSpec((1.0, 2.0), (-1.0, 0.0), 2, 2, 1.4, -1.2)
