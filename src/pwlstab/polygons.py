@@ -451,7 +451,10 @@ class Ga92Verdict:
     former generation loop put on k; it bounds nothing now, and stays so
     that the record, and ``analyze --json``, keep their layout.  An instability
     witness is a periodic ray orbit whose average log-stretch is positive,
-    which rules out Lyapunov stability outright.
+    which rules out Lyapunov stability outright.  The ``note`` of a
+    ``NotDecided`` verdict names its reason: a failed re-check, a cycle of
+    positive weight in the arc graph at the last arc count, or the round
+    budget.
     """
 
     status: CertificateStatus
@@ -502,9 +505,12 @@ def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
     graph of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first
     one found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min
     v), and its region (``_sub_action_region``) must map into itself under
-    the polygon layer with a protrusion of at most EPS_GEOM / 10; then the
-    verdict is Stable with m = 1.  A failed re-check, or no sub-action
-    within the round budget, is NotDecided.
+    the polygon layer with a protrusion of at most EPS_GEOM / (10 C), a
+    tenth of EPS_GEOM at the region's smallest radius 1/C; then the verdict
+    is Stable with m = 1.  A failed re-check is NotDecided.  A run that
+    finds a cycle of positive weight in the arc graph, or runs out of
+    rounds, moves on to the next arc count; after the last one the verdict
+    is NotDecided, and its note names the cycle's length or the budget.
     """
     _check_certificate_regime(params)
     if m_max < 1:
@@ -529,16 +535,19 @@ def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
         sa = sub_action(params, n)
         if sa.v is None:
             continue
+        spread = float(sa.v.max() - sa.v.min())
         omega = _sub_action_region(sa)
         residual = containment_protrusion(omega, image_polygon(params, omega))
-        if residual > EPS_GEOM / 10.0:
+        # Omega's radii run from 1 down to 1/C = exp(-spread); the slack
+        # scales with the smallest of them, so that it stays below the
+        # margin the sub-action leaves on every arc.
+        if residual > EPS_GEOM / 10.0 * math.exp(-spread):
             return verdict(
                 CertificateStatus.NOT_DECIDED,
                 residuals=(residual,),
                 omega=omega,
                 note=f"sub-action at n = {n} failed the polygon re-check, residual {residual:.3g}",
             )
-        spread = float(sa.v.max() - sa.v.min())
         return verdict(
             CertificateStatus.STABLE,
             1,
@@ -549,10 +558,11 @@ def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
                 f"|g^t x| <= C*exp(-{sa.eta:g}*t)*|x| with C = {math.exp(spread):.6g}"
             ),
         )
-    return verdict(
-        CertificateStatus.NOT_DECIDED,
-        note=f"no sub-action within the round budget at n = {SUB_ACTION_ARCS[-1]}",
-    )
+    if sa.cycle is not None:
+        note = f"arc graph at n = {n} has a cycle of positive weight over {sa.cycle.size} arcs"
+    else:
+        note = f"no sub-action within the round budget at n = {n}"
+    return verdict(CertificateStatus.NOT_DECIDED, note=note)
 
 
 def delta_sequence(params: NormalForm2D | PWLMap, n: int) -> list[StarPolygon]:

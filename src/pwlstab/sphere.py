@@ -16,6 +16,7 @@ bookkeeping out of the formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,6 +117,8 @@ def circle_G(params: NormalForm2D, theta):
 # Bellman-Ford run may take.
 SUB_ACTION_ETA = 1e-6
 SUB_ACTION_ROUNDS = 100
+# Rounds between two searches for a cycle of positive weight.
+CYCLE_CHECK_EVERY = 8
 # Padding, in radians, of each arc's image cone.
 ARC_PAD = 1e-12
 
@@ -126,10 +129,14 @@ class SubAction:
 
     Arc i is [edges[i], edges[i + 1]].  ``w[i]`` bounds ln D from above on
     the arc, and its successors are the arcs lo[i] .. hi[i] that meet its
-    image cone.  ``v`` is None when ``rounds`` ran out; otherwise v >= 0
-    and v_i >= w_i + eta + max(v[lo_i .. hi_i]) for every arc, so along
-    every orbit the sum of ln D over t steps is at most
-    -eta * t + max(v) - min(v).
+    image cone.  ``rounds`` is the round at which the run stopped.  When v
+    converged, v >= 0 and v_i >= w_i + eta + max(v[lo_i .. hi_i]) for every
+    arc, so along every orbit the sum of ln D over t steps is at most
+    -eta * t + max(v) - min(v), and ``cycle`` is None.  Otherwise ``v`` is
+    None, and ``cycle`` is either a closed walk of arcs, each one a
+    successor of the one before and the first a successor of the last,
+    whose sum of w + eta is positive, which proves that no sub-action
+    exists; or None when the round budget ran out.
     """
 
     edges: np.ndarray
@@ -138,6 +145,7 @@ class SubAction:
     hi: np.ndarray
     v: np.ndarray | None
     rounds: int
+    cycle: np.ndarray | None = None
     eta: float = SUB_ACTION_ETA
 
 
@@ -160,6 +168,13 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     exactly when no cycle of the arc graph has a mean weight above -eta,
     which bounds the integral of ln D by -eta for every invariant measure
     of G (ergodic optimisation on the symbolic image of G).
+
+    Every CYCLE_CHECK_EVERY rounds the run also looks for the converse: a
+    cycle of positive weight in the graph that sends each arc to a
+    successor where v is largest (``_positive_cycle``).  Such a cycle rules
+    out a fixed point, even in rounded arithmetic, so the run stops there
+    with v None and the cycle; a run that would converge never meets one,
+    and returns the same v at the same round as without the search.
     """
     _require_sign_regime(params)
     if n_arcs < 2 or n_arcs % 2:
@@ -205,8 +220,69 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
         new = np.maximum(0.0, base + np.maximum(table[level, lo], table[level, tail]))
         if np.array_equal(new, v):
             return SubAction(edges, w, lo, hi, v, rounds)
+        if rounds % CYCLE_CHECK_EVERY == 0:
+            cycle = _positive_cycle(table, level, lo, tail, base)
+            if cycle is not None:
+                return SubAction(edges, w, lo, hi, None, rounds, cycle)
         v = new
     return SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS)
+
+
+def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
+    """A cycle of positive weight in the policy graph of the v in table[0].
+
+    The policy sends arc i to an arc of lo[i] .. hi[i] where v is largest,
+    read from an index sparse table over the value table.  It is a
+    functional graph; pointer doubling takes every arc 2^K >= n steps
+    forward, onto a cycle, while keeping the smallest arc passed, which
+    labels each cycle by its smallest arc.  The weight of base over each
+    cycle is then one bincount.
+
+    A cycle i_1 -> ... -> i_L -> i_1 rules out a fixed point of the rounded
+    loop when its computed sum S exceeds
+        2^-52 * L * (sum |base_i| + SUB_ACTION_ROUNDS * max(base, 0)).
+    At a fixed point v* each arc on the cycle has v*_i >= fl(base_i +
+    v*_j) >= base_i + v*_j - u (|base_i| + v*_j), u = 2^-53, since the
+    range maximum over i's successors is at least v*_j; summed around the
+    cycle, the exact sum is at most u (sum |base_i| + L max v*).  Summing L
+    floats in any order moves the sum by at most (L - 1) u sum |base_i|,
+    and a fixed point reached within SUB_ACTION_ROUNDS rounds has max v* <=
+    SUB_ACTION_ROUNDS * max(base, 0), since each round adds at most
+    max(base, 0) to max v.  The doubled unit covers those bounds with room.
+    So the loop would not have converged either, and the run can stop.
+    Returns the cycle of largest sum, in walk order from its smallest arc.
+    """
+    vals = table[0]
+    n = vals.size
+    idx = np.empty(table.shape, dtype=np.int32)
+    idx[:, :] = np.arange(n, dtype=np.int32)
+    for k in range(1, table.shape[0]):
+        span = 1 << (k - 1)
+        left_wins = table[k - 1, :-span] >= table[k - 1, span:]
+        idx[k, :-span] = np.where(left_wins, idx[k - 1, :-span], idx[k - 1, span:])
+    first, second = idx[level, lo], idx[level, tail]
+    policy = np.where(vals[first] >= vals[second], first, second)
+
+    jump, low = policy, np.arange(n, dtype=np.int32)
+    for _ in range(max(n - 1, 1).bit_length()):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jump] = True
+    label = low[on_cycle]
+    length = np.bincount(label, minlength=n)
+    total = np.bincount(label, base[on_cycle], minlength=n)
+    scale = np.bincount(label, np.abs(base[on_cycle]), minlength=n)
+    margin = 2.0**-52 * length * (scale + SUB_ACTION_ROUNDS * max(float(base.max()), 0.0))
+    excess = np.where(length > 0, total - margin, -np.inf)
+    best = int(np.argmax(excess))
+    if not excess[best] > 0.0:
+        return None
+    cycle = np.empty(length[best], dtype=np.intp)
+    cycle[0] = best
+    for t in range(1, cycle.size):
+        cycle[t] = policy[cycle[t - 1]]
+    return cycle
 
 
 @dataclass(frozen=True)
@@ -678,24 +754,57 @@ def _lyndon_words(n_max: int):
             w.pop()
 
 
-def _word_product(sides, word) -> tuple[float, float, float, float]:
-    """Columns (ax, ay, bx, by) of the side-matrix product along ``word``:
-    the images of e1 and e2 under the word's matrices, applied in order."""
-    ax, ay, bx, by = 1.0, 0.0, 0.0, 1.0
-    for s in word:
-        tau, delta = sides[s]
-        ax, ay = tau * ax + ay, -delta * ax
-        bx, by = tau * bx + by, -delta * bx
+@functools.lru_cache(maxsize=8)
+def _lyndon_rotations(p_max: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each binary Lyndon word of length <= p_max, with the ``_word_products``
+    row of each of its rotations: entry i for word[i:] + word[:i]."""
+    out = []
+    for word in _lyndon_words(p_max):
+        p = len(word)
+        bits = sum(s << k for k, s in enumerate(word))
+        mask = (1 << p) - 1
+        rows = tuple(
+            (1 << p) - 1 + ((bits >> i) | ((bits << (p - i)) & mask)) for i in range(p)
+        )
+        out.append((word, rows))
+    return tuple(out)
+
+
+def _word_products(sides, p_max: int) -> tuple[list[float], ...]:
+    """Columns (ax, ay, bx, by) of the side-matrix product along every
+    binary word of length <= p_max: the images of e1 and e2 under the
+    word's matrices, applied in order.  Returns four lists, one per column.
+
+    Entry 2^p - 1 + b holds the word of length p whose k-th symbol is bit k
+    of b; entry 0 is the empty word.  Each length appends one symbol to the
+    words one shorter, so each product takes the same multiplies and adds,
+    in the same order, as a loop over the word's symbols from the identity.
+    """
+    taus = np.array([tau for tau, _ in sides])[:, None]
+    neg_deltas = np.array([-delta for _, delta in sides])[:, None]
+    # rows (ax, bx) and (ay, by), one column per word of the current length
+    x, y = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    xs, ys = [x], [y]
+    for _ in range(p_max):
+        x, y = (
+            (taus * x[:, None] + y[:, None]).reshape(2, -1),
+            (neg_deltas * x[:, None]).reshape(2, -1),
+        )
+        xs.append(x)
+        ys.append(y)
+    (ax, bx), (ay, by) = np.hstack(xs).tolist(), np.hstack(ys).tolist()
     return ax, ay, bx, by
 
 
-def _eigenray(prod, mu: float) -> tuple[float, float] | None:
-    """Unit eigenvector of ``prod`` for eigenvalue mu in the upper half-plane.
+def _eigenray(
+    ax: float, ay: float, bx: float, by: float, mu: float
+) -> tuple[float, float] | None:
+    """Unit eigenvector for eigenvalue mu, in the upper half-plane, of the
+    matrix M with columns (ax, ay) and (bx, by).
 
-    None when the product is mu times the identity.
+    None when M is mu times the identity.
     """
-    ax, ay, bx, by = prod
-    # Orthogonal to the larger row of (prod - mu I).
+    # Orthogonal to the larger row of (M - mu I).
     r0 = math.hypot(ax - mu, bx)
     r1 = math.hypot(ay, by - mu)
     if max(r0, r1) <= 1e-12 * mu:
@@ -720,7 +829,10 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
     length <= p_max, one per cyclic class of itineraries, are enumerated.
     Each iterate is the eigenvector of the product along the word rotated to
     start there: following the orbit forward would amplify rounding along
-    orbits that repel on the circle.
+    orbits that repel on the circle.  The products of all words of length
+    <= p_max are built once per call (``_word_products``), so each word and
+    each rotation is one table lookup; the table has 2^(p_max + 1) - 1
+    entries.
 
     A ray within EPS_ANGLE of the switching ray pi/2 may take either symbol,
     so one orbit can match several words, and a word can trace an orbit of
@@ -732,10 +844,12 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+    ax_w, ay_w, bx_w, by_w = _word_products(sides, p_max)
     out: list[PeriodicOrbit] = []
-    for word in _lyndon_words(p_max):
+    for word, rows in _lyndon_rotations(p_max):
         p = len(word)
-        ax, ay, bx, by = product = _word_product(sides, word)
+        r = rows[0]
+        ax, ay, bx, by = ax_w[r], ay_w[r], bx_w[r], by_w[r]
         half_tr = 0.5 * (ax + by)
         det = ax * by - bx * ay
         disc = half_tr * half_tr - det
@@ -749,9 +863,8 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
                 continue
             thetas: list[float] = []
             d_vals: list[float] = []
-            for i, s in enumerate(word):
-                rotated = _word_product(sides, word[i:] + word[:i]) if i else product
-                z = _eigenray(rotated, mu)
+            for s, r in zip(word, rows):
+                z = _eigenray(ax_w[r], ay_w[r], bx_w[r], by_w[r], mu)
                 # z[0] is the cosine of the angle; both sides own the ray x = 0.
                 if z is None or ((z[0] > EPS_ANGLE) if s == 0 else (z[0] < -EPS_ANGLE)):
                     break

@@ -21,6 +21,8 @@ from pwlstab import (
     polygons,
     region_contains,
     rho_sampled,
+    sphere,
+    sub_action,
     union_star,
 )
 
@@ -65,7 +67,7 @@ class TestVerdicts:
         v = ga92(NormalForm2D(2.3, 1.4, -1.9, -1.2), m_max=12)
         assert v.status is CertificateStatus.NOT_DECIDED
         assert v.m is None and v.k is None
-        assert "budget" in v.note
+        assert "cycle of positive weight" in v.note
 
     def test_trapped_but_not_cleared_cell_is_stable(self):
         # the generation loop trapped this cell at m = 3 but no iterate up
@@ -125,7 +127,22 @@ class TestVerdicts:
             "|g^t x| <= C*exp(-1e-06*t)*|x| with C = 4.36269"
         )
         v = ga92(NormalForm2D(2.3, 1.4, -1.9, -1.2))
+        assert v.note == "arc graph at n = 8192 has a cycle of positive weight over 39 arcs"
+
+    def test_budget_note_without_the_cycle_search(self, monkeypatch):
+        monkeypatch.setattr(sphere, "CYCLE_CHECK_EVERY", sphere.SUB_ACTION_ROUNDS + 1)
+        v = ga92(NormalForm2D(2.3, 1.4, -1.9, -1.2))
+        assert v.status is CertificateStatus.NOT_DECIDED
         assert v.note == "no sub-action within the round budget at n = 8192"
+
+    def test_ladder_moves_on_after_a_cycle(self):
+        # a positive cycle at n = 2048 rules out a sub-action there only;
+        # the finer graph at 8192 has none
+        params = NormalForm2D(0.3333333333333333, 1.4, -1.903225806451613, -1.2)
+        assert sub_action(params, 2048).cycle is not None
+        v = ga92(params)
+        assert v.status is CertificateStatus.STABLE
+        assert v.note.startswith("sub-action at n = 8192 after 73 rounds: ")
 
     def test_failed_recheck_is_not_decided(self, monkeypatch):
         # a region whose image protrudes by more than EPS_GEOM / 10 certifies

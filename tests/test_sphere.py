@@ -1,6 +1,7 @@
 """Radial/angular decomposition: D, G, averages, fixed points, periodic orbits."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -42,16 +43,32 @@ from pwlstab import (
     histogram_G,
     invariant_rays,
     periodic_orbits_G,
+    sphere,
     sphere_eval,
     sub_action,
 )
-from pwlstab.sphere import N_BATCHES, SUB_ACTION_ROUNDS, _block_length
+from pwlstab.sphere import (
+    N_BATCHES,
+    SUB_ACTION_ROUNDS,
+    _block_length,
+    _lyndon_rotations,
+    _word_products,
+)
 
 # Started at u(0.5), its 7th block of 16 steps starts from the float state
 # the 6th started from, and so does every later block.
 PT_CYCLING = (1.479, 0.35, -0.1, -1.5)
 # Block length 1 (one step may stretch by 1e7) and no float state repeats.
 PT_BLOCK_1 = (1.0, 1e7, 2.0, -1e7)
+# The cells of the 16x8 acceptance plane that ga92 leaves NotDecided.
+UNDECIDED_CELLS = [
+    (0.4666666666666667, 1.4, -2.0, -1.2),
+    (0.9333333333333333, 1.4, -1.1428571428571428, -1.2),
+    (1.4, 1.4, -2.0, -1.2),
+    (2.3333333333333335, 1.4, -2.0, -1.2),
+    (2.3333333333333335, 1.4, -1.5714285714285714, -1.2),
+    (2.3333333333333335, 1.4, -1.1428571428571428, -1.2),
+]
 
 
 def u(theta: float) -> np.ndarray:
@@ -511,6 +528,32 @@ class TestPeriodicOrbits:
                         abs(x - y) for x, y in zip(a.thetas, b.thetas)
                     ) > 1e-6, f"orbit listed twice at {pt}: {a.thetas}"
 
+    @pytest.mark.parametrize("pt", [PT_STABLE, PT_UNSTABLE, PT_CONTRACT])
+    def test_word_product_table(self, pt):
+        # every word of length <= 8 against the ordered product of its side
+        # matrices, multiplied out entry by entry
+        params = NormalForm2D(*pt)
+        sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+        ax, ay, bx, by = _word_products(sides, 8)
+
+        def row(word):
+            return (1 << len(word)) - 1 + sum(s << k for k, s in enumerate(word))
+
+        for p in range(9):
+            for word in itertools.product((0, 1), repeat=p):
+                m = ((1.0, 0.0), (0.0, 1.0))
+                for s in word:
+                    tau, delta = sides[s]
+                    a = ((tau, 1.0), (-delta, 0.0))
+                    m = tuple(
+                        tuple(a[i][0] * m[0][j] + a[i][1] * m[1][j] for j in range(2))
+                        for i in range(2)
+                    )
+                r = row(word)
+                assert (ax[r], ay[r], bx[r], by[r]) == (m[0][0], m[1][0], m[0][1], m[1][1])
+        for word, rows in _lyndon_rotations(8):
+            assert rows == tuple(row(word[i:] + word[:i]) for i in range(len(word)))
+
     def test_orbit_on_steep_branch_is_found(self):
         # G^6 is too steep near this orbit for a sampling grid to see it cross
         # the diagonal.
@@ -519,6 +562,17 @@ class TestPeriodicOrbits:
         hit = [o for o in p6 if abs(o.thetas[0] - 1.129603) < 1e-6]
         assert len(hit) == 1
         assert hit[0].lambda_value == pytest.approx(-1.4037, abs=1e-4)
+
+
+def assert_positive_cycle(sa):
+    # re-verify the closed walk from the returned arrays alone: each arc's
+    # successor range holds the next arc, the last arc's holds the first,
+    # and the walk's exact sum of w + eta is positive
+    assert sa.v is None and sa.cycle is not None and sa.cycle.size >= 1
+    walk = [int(i) for i in sa.cycle]
+    for i, j in zip(walk, walk[1:] + walk[:1]):
+        assert sa.lo[i] <= j <= sa.hi[i]
+    assert math.fsum(float(sa.w[i]) + sa.eta for i in walk) > 0.0
 
 
 class TestSubAction:
@@ -556,7 +610,19 @@ class TestSubAction:
     def test_unstable_point_is_never_certified(self, n_arcs):
         # PT_UNSTABLE has an expanding period-3 orbit: no sub-action exists
         sa = sub_action(NormalForm2D(*PT_UNSTABLE), n_arcs)
-        assert sa.v is None and sa.rounds == SUB_ACTION_ROUNDS
+        assert_positive_cycle(sa)
+
+    @pytest.mark.parametrize("n_arcs", [2048, 8192])
+    @pytest.mark.parametrize("pt", UNDECIDED_CELLS)
+    def test_undecided_cells_end_at_a_positive_cycle(self, pt, n_arcs):
+        sa = sub_action(NormalForm2D(*pt), n_arcs)
+        assert_positive_cycle(sa)
+        assert sa.rounds < SUB_ACTION_ROUNDS
+
+    def test_runs_out_of_rounds_without_the_cycle_search(self, monkeypatch):
+        monkeypatch.setattr(sphere, "CYCLE_CHECK_EVERY", SUB_ACTION_ROUNDS + 1)
+        sa = sub_action(NormalForm2D(*PT_UNSTABLE), 512)
+        assert sa.v is None and sa.cycle is None and sa.rounds == SUB_ACTION_ROUNDS
 
     def test_rejects_odd_arc_counts_and_wrong_signs(self):
         with pytest.raises(ValueError, match="even"):
