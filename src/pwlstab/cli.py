@@ -179,7 +179,7 @@ def _cmd_rho(args) -> int:
 
 def _cmd_ga92(args) -> int:
     params = _params(args)
-    verdict = ga92(params, m_max=args.m_max)
+    verdict = ga92(params)
     print(f"status={verdict.status.value}")
     if verdict.m is not None:
         print(f"m={verdict.m}")
@@ -215,7 +215,7 @@ def _cmd_sweep(args) -> int:
             spec, samples_per_cell=args.samples, base_seed=args.seed, workers=args.workers
         )
     else:
-        result = sweep_asymptotic(spec, m_max=args.m_max, workers=args.workers)
+        result = sweep_asymptotic(spec, workers=args.workers)
     write_grid_csv(result, args.out)
     written = [str(args.out)]
     if args.pgm:
@@ -228,9 +228,6 @@ def _cmd_sweep(args) -> int:
         stat = f"stable_cells={stable}/{result.values.size}"
     print(f"wrote {' and '.join(written)} ({args.mode}, {spec.nx}x{spec.ny}, {stat})")
     return 0
-
-
-M_MAX_HELP = "largest m reported for a certified point (at least 1); a Stable verdict has m = 1"
 
 
 @functools.cache
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ga92", help="sub-action asymptotic stability certificate")
     _add_params(sp)
-    sp.add_argument("--m-max", type=int, default=30, help=M_MAX_HELP)
     sp.set_defaults(func=_cmd_ga92)
 
     sp = sub.add_parser("polygons", help="dump iterated triangle images as CSV")
@@ -296,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pgm", default=None, help="also write an 8-bit PGM image here")
     sp.add_argument("--samples", type=int, default=100, help="measure mode: samples per cell")
     sp.add_argument("--seed", type=int, default=0, help="measure mode: base seed")
-    sp.add_argument("--m-max", type=int, default=30, help=M_MAX_HELP)
+    sp.add_argument(
+        "--m-max", type=int, default=30, help="no effect; kept so that older command lines parse"
+    )
     sp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     sp.set_defaults(func=_cmd_sweep)
 

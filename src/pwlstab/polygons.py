@@ -81,39 +81,6 @@ class StarPolygon:
         """The seed triangle (0,0), (1,0), (0,1)."""
         return cls(np.array([0.0, HALF_PI]), np.array([1.0, 1.0]))
 
-    @classmethod
-    def from_vertices(cls, points) -> "StarPolygon":
-        """Build a chain from a polygon vertex loop (either orientation).
-
-        Vertices within EPS_GEOM of the origin are dropped (the origin
-        anchor is implicit).  The remaining cyclic sequence must visit angles
-        monotonically after some rotation, otherwise the polygon is not
-        star-shaped about the origin and a ValueError is raised.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be an (n, 2) array-like")
-        rad = np.hypot(pts[:, 0], pts[:, 1])
-        far = rad > EPS_GEOM
-        pts, rad = pts[far], rad[far]
-        if len(pts) == 0:
-            raise ValueError("all vertices are at the origin")
-        ang = np.arctan2(pts[:, 1], pts[:, 0])
-        ang[np.abs(ang) <= ANGLE_TOL] = 0.0
-        if np.any(ang < 0.0):
-            raise ValueError("vertices must lie in the closed upper half-plane")
-
-        def monotone(a: np.ndarray) -> bool:
-            return bool(np.all(np.diff(a) >= -ANGLE_TOL))
-
-        for a_seq, r_seq in ((ang, rad), (ang[::-1], rad[::-1])):
-            starts = np.nonzero(a_seq <= a_seq.min() + ANGLE_TOL)[0]
-            for s in starts:
-                a_rot = np.roll(a_seq, -s)
-                if monotone(a_rot):
-                    return cls(a_rot, np.roll(r_seq, -s))
-        raise ValueError("vertex loop is not star-shaped about the origin")
-
     # -- basic geometry ----------------------------------------------------
 
     @cached_property
@@ -207,11 +174,6 @@ class StarPolygon:
         """
         at = self._sides(np.atleast_1d(np.asarray(phi, dtype=float)))[2]
         return float(at[0]) if np.isscalar(phi) else at
-
-
-# The accumulated union of star polygons is itself star-shaped, so a single
-# chain represents it; the alias keeps call sites self-describing.
-StarRegion = StarPolygon
 
 
 def _grid(lo: float, hi: float, *chains: StarPolygon) -> np.ndarray:
@@ -320,11 +282,6 @@ def containment_protrusion(
     r_below, r_above, r_at, _ = region._sides(grid)
     excess = (p_at - r_at, (p_below - r_below)[1:], (p_above - r_above)[:-1])
     return float(np.concatenate(excess).max())
-
-
-def region_contains(region: StarPolygon, poly: StarPolygon) -> bool:
-    """Whether the star region contains the polygon, up to radial slack EPS_GEOM."""
-    return containment_protrusion(region, poly) <= EPS_GEOM
 
 
 _GAMMA = StarPolygon.unit_triangle()
@@ -445,26 +402,21 @@ class Ga92Verdict:
     region ``omega_final`` built from it, which maps into itself: ``m`` is 1,
     the one image that the polygon layer re-checks, and
     ``containment_residuals`` holds that image's worst radial protrusion
-    over the region.  ``m_max`` only bounds the reported m.  ``k`` is always
+    over the region.  Every other verdict has m = None.  ``k`` is always
     None: no iterate has to clear the unit segment, since the sub-action
-    gives the decay rate itself.  ``k_max`` is 2 * m_max, the bound the
-    former generation loop put on k; it bounds nothing now, and stays so
-    that the record, and ``analyze --json``, keep their layout.  An instability
-    witness is a periodic ray orbit whose average log-stretch is positive,
-    which rules out Lyapunov stability outright.  The ``note`` of a
-    ``NotDecided`` verdict names its reason: a failed re-check, a cycle of
-    positive weight in the arc graph at the last arc count, or the round
-    budget.
+    gives the decay rate itself.  An instability witness is a periodic ray
+    orbit whose average log-stretch is positive, which rules out Lyapunov
+    stability outright.  The ``note`` of a ``NotDecided`` verdict names its
+    reason: a failed re-check, a cycle of positive weight in the arc graph
+    at the last arc count, or the round budget.
     """
 
     status: CertificateStatus
     m: int | None
     k: int | None
-    m_max: int
-    k_max: int
     witness: PeriodicOrbit | None
     containment_residuals: tuple[float, ...]
-    omega_final: StarRegion | None
+    omega_final: StarPolygon | None
     note: str = ""
 
 
@@ -482,7 +434,7 @@ def _check_certificate_regime(params: NormalForm2D) -> None:
 SUB_ACTION_ARCS = (2048, 8192)
 
 
-def _sub_action_region(sa: SubAction) -> StarRegion:
+def _sub_action_region(sa: SubAction) -> StarPolygon:
     """The star region with radius exp(-(v_i - min v)) on arc i.
 
     Each arc contributes its two ends at its own radius; where two arcs
@@ -496,7 +448,7 @@ def _sub_action_region(sa: SubAction) -> StarRegion:
     return StarPolygon(ang[keep], rad[keep])
 
 
-def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
+def ga92(params: NormalForm2D) -> Ga92Verdict:
     """Decide asymptotic stability of the origin on the unit circle.
 
     Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
@@ -513,11 +465,9 @@ def ga92(params: NormalForm2D, m_max: int = 30) -> Ga92Verdict:
     is NotDecided, and its note names the cycle's length or the budget.
     """
     _check_certificate_regime(params)
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
 
     def verdict(status, m=None, witness=None, residuals=(), omega=None, note=""):
-        return Ga92Verdict(status, m, None, m_max, 2 * m_max, witness, residuals, omega, note)
+        return Ga92Verdict(status, m, None, witness, residuals, omega, note)
 
     witnesses = [
         o

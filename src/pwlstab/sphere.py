@@ -846,6 +846,7 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
     ax_w, ay_w, bx_w, by_w = _word_products(sides, p_max)
     out: list[PeriodicOrbit] = []
+    listed: dict[int, list[tuple[float, ...]]] = {}  # orbit angles by period
     for word, rows in _lyndon_rotations(p_max):
         p = len(word)
         r = rows[0]
@@ -878,8 +879,10 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
                 if any(p % q == 0 and _same_angles(orbit, orbit[q:] + orbit[:q])
                        for q in range(1, p)):
                     continue  # a shorter word traces this orbit
-                if any(o.period == p and _same_angles(o.thetas, orbit) for o in out):
+                same_period = listed.setdefault(p, [])
+                if any(_same_angles(t, orbit) for t in same_period):
                     continue
+                same_period.append(orbit)
                 lam = sum(math.log(d) for d in d_vals) / p
                 out.append(PeriodicOrbit(orbit, p, lam, math.prod(d_vals)))
     out.sort(key=lambda o: (o.period, o.thetas[0]))

@@ -81,8 +81,8 @@ class GridResult:
     """Per-cell sweep outputs, indexed [tau_L index, tau_R index].
 
     Measure mode: ``values`` holds converged fractions and ``undecided`` the
-    budget-exhausted fractions.  Asymptotic mode: ``values`` holds the
-    verdict's m, which is 1 wherever ``ga92`` certifies stability, or -1
+    budget-exhausted fractions.  Asymptotic mode: ``values`` holds 1
+    wherever ``ga92`` certifies stability (the m of its verdict), or -1
     where the certificate declined (out of regime, not decided, or an
     instability witness was found).
     """
@@ -91,7 +91,6 @@ class GridResult:
     mode: GridMode
     values: np.ndarray
     undecided: np.ndarray | None = None
-    m_max: int | None = None
 
 
 def _measure_cell(spec: GridSpec, i: int, j: int, samples: int, base_seed: int):
@@ -100,12 +99,12 @@ def _measure_cell(spec: GridSpec, i: int, j: int, samples: int, base_seed: int):
     return est.rho_hat, est.undecided_fraction
 
 
-def _asymptotic_cell(spec: GridSpec, i: int, j: int, m_max: int) -> int:
+def _asymptotic_cell(spec: GridSpec, i: int, j: int) -> int:
     """The m of cell (i, j)'s Stable verdict, or -1 where ga92 declines."""
     params = spec.params(i, j)
     if not params.in_certificate_regime:
         return -1
-    verdict = ga92(params, m_max=m_max)
+    verdict = ga92(params)
     return verdict.m if verdict.status is CertificateStatus.STABLE else -1
 
 
@@ -133,20 +132,16 @@ def sweep_measure(
     return GridResult(spec, GridMode.MEASURE, cells[..., 0], cells[..., 1])
 
 
-def sweep_asymptotic(spec: GridSpec, m_max: int = 30, workers: int = 1) -> GridResult:
+def sweep_asymptotic(spec: GridSpec, workers: int = 1) -> GridResult:
     """Certificate sweep recording the m of each cell's ``ga92`` verdict.
 
     A Stable verdict has m = 1: its sub-action region maps into itself in
-    one image.  ``m_max`` (at least 1) only bounds the m that may be
-    reported, so it changes no verdict.  Cells outside the certificate's
-    regime (tau_L >= 2 sqrt(delta_L)) are marked with the sentinel -1, as
-    are NotDecided cells and cells with an instability witness.
+    one image.  Cells outside the certificate's regime (tau_L >= 2
+    sqrt(delta_L)) are marked with the sentinel -1, as are NotDecided cells
+    and cells with an instability witness.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    cell = partial(_asymptotic_cell, m_max=m_max)
-    values = np.array(_cells(cell, spec, workers), dtype=np.int64)
-    return GridResult(spec, GridMode.ASYMPTOTIC, values, None, m_max)
+    values = np.array(_cells(_asymptotic_cell, spec, workers), dtype=np.int64)
+    return GridResult(spec, GridMode.ASYMPTOTIC, values)
 
 
 def write_grid_csv(result: GridResult, path) -> None:
@@ -174,9 +169,7 @@ def write_grid_pgm(result: GridResult, path) -> None:
 
     Measure mode paints converged cells dark: pixel = 255 * (1 - fraction),
     so the stability region shows as the black shape.  Asymptotic mode paints
-    sentinel cells black (0) and generation m as 255 at m = 1 descending
-    linearly to m = m_max (never below 1, which keeps decided cells visibly
-    distinct from sentinel black).
+    certified cells white (255) and sentinel cells black (0).
     """
     nx, ny = result.spec.nx, result.spec.ny
     v = result.values.T[::-1].astype(np.float64)  # row 0 is the highest tau_R
@@ -185,11 +178,7 @@ def write_grid_pgm(result: GridResult, path) -> None:
     if result.mode is GridMode.MEASURE:
         px = np.rint(255.0 * (1.0 - v))
     else:
-        decided = v >= 0
-        if decided.any() and not result.m_max:
-            raise ValueError("asymptotic grid result is missing m_max")
-        m_max = result.m_max or 1  # unused when no cell is decided
-        px = np.where(decided, np.maximum(np.rint(255.0 * (m_max - v + 1.0) / m_max), 1.0), 0.0)
+        px = np.where(v >= 0, 255.0, 0.0)
     pixels = np.clip(px, 0, 255).astype(np.uint8)
     try:
         with open(path, "wb") as fh:

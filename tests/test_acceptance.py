@@ -95,10 +95,10 @@ def test_criterion_3_period_3_obstruction():
     t0 = time.perf_counter()
     orbits = periodic_orbits_G(NormalForm2D(*PT_UNSTABLE), p_max=6)
     p3 = [o for o in orbits if o.period == 3 and o.lambda_value > 0]
-    witness = ga92(NormalForm2D(*PT_UNSTABLE), m_max=30)
+    witness = ga92(NormalForm2D(*PT_UNSTABLE))
     t_unstable = time.perf_counter() - t0
     t0 = time.perf_counter()
-    stable = ga92(NormalForm2D(*PT_STABLE), m_max=30)
+    stable = ga92(NormalForm2D(*PT_STABLE))
     t_stable = time.perf_counter() - t0
     ok = (
         len(p3) == 1
@@ -122,7 +122,7 @@ def test_criterion_3_period_3_obstruction():
 def test_criterion_4_sweep_consistency():
     spec = GridSpec((0.0, 3.5), (-2.0, 1.0), 64, 32, 1.4, -1.2)
     t0 = time.perf_counter()
-    asym = sweep_asymptotic(spec, m_max=30)
+    asym = sweep_asymptotic(spec)
     meas = sweep_measure(spec, samples_per_cell=100, base_seed=0)
     elapsed = time.perf_counter() - t0
 
@@ -249,10 +249,7 @@ def _sample_stable_points(rng, count=20, max_draws=400):
         params = NormalForm2D(
             float(rng.uniform(0.1, 2.3)), 1.4, float(rng.uniform(-1.1, 0.6)), -1.2
         )
-        try:
-            v = ga92(params, m_max=30)
-        except Exception:
-            continue
+        v = ga92(params)
         if v.status is CertificateStatus.STABLE:
             found.append((params, v))
             if len(found) == count:

@@ -41,9 +41,8 @@ REPORT_KEYS = {
     "summary", "summary.kind", "summary.rho",
 }
 CERTIFICATE_KEYS = {
-    "certificate.status", "certificate.m", "certificate.k", "certificate.m_max",
-    "certificate.k_max", "certificate.witness", "certificate.containment_residuals",
-    "certificate.note",
+    "certificate.status", "certificate.m", "certificate.k", "certificate.witness",
+    "certificate.containment_residuals", "certificate.note",
 }
 WITNESS_KEYS = {
     "certificate.witness.thetas", "certificate.witness.period",
@@ -140,9 +139,9 @@ class TestAnalyze:
         "point, digest",
         [
             (PT_FOLD, "ea01654e340d2edbe478c5ff834f5383e432db66af0b1a69c67b60b4cb3937bb"),
-            (PT_STABLE, "7d16b04c8ec362c0dc6067067d61f405d402adac01e707dc3afbcdaf86066a68"),
-            (PT_UNSTABLE, "cd240ba14d292d77fbf11e72a41de81fc7015e39516436fb16e22f8eed7161cf"),
-            (PT_CONTRACT, "0468cc7e02133c6d868d9fbeb90040654325b956d1cb8192b064c1bee08ebe70"),
+            (PT_STABLE, "1a9e467588bbaaf81f4bc6ef3b80c7a926ff6b2dbb0426a80ef8ce22e7bea6f3"),
+            (PT_UNSTABLE, "d4c5c7fb1490e4ff69df494dbc23cea098fc9604c09808adf84d7ec800e444bf"),
+            (PT_CONTRACT, "308a4056b502455326f71604da9a6cb6af82da36efd20b5aa1625a69c61fa6b2"),
         ],
         ids=["fold", "stable", "unstable", "contract"],
     )
@@ -247,6 +246,22 @@ class TestSweepCommand:
         run_cli(*self.ARGS, "--out", str(c1), "--workers", "1")
         run_cli(*self.ARGS, "--out", str(c2), "--workers", "2")
         assert c1.read_bytes() == c2.read_bytes()
+
+    def test_m_max_changes_no_output(self, tmp_path):
+        # --m-max is accepted and ignored: a certified cell is 1 and paints
+        # 255, a sentinel cell is -1 and paints 0, whatever its value
+        asym = ["sweep", "--mode", "asymptotic", "--tl-min", "1.0", "--tl-max", "3.0",
+                "--tr-min", "-1.4", "--tr-max", "-0.8", "--nx", "3", "--ny", "2",
+                "--dl", "1.4", "--dr", "-1.2"]
+        outs = []
+        for m_max in ("1", "30"):
+            c, g = tmp_path / f"{m_max}.csv", tmp_path / f"{m_max}.pgm"
+            run_cli(*asym, "--m-max", m_max, "--out", str(c), "--pgm", str(g))
+            outs.append((c.read_bytes(), g.read_bytes()))
+        assert outs[0] == outs[1]
+        values = {line.split(",")[2] for line in outs[0][0].decode().splitlines()[1:]}
+        assert values == {"1", "-1"}
+        assert set(outs[0][1][len(b"P5\n3 2\n255\n"):]) == {0, 255}
 
 
 class TestReadme:
@@ -355,4 +370,3 @@ class TestBenchEntryPoints:
                 args = parser.parse_args(argv)
                 if args.command == "sweep" and args.mode == "asymptotic":
                     assert args.m_max == 30
-        assert parser.parse_args(["ga92", *STABLE_ARGS, "--m-max", "30"]).m_max == 30

@@ -107,30 +107,23 @@ class TestMeasureSweep:
 
 class TestAsymptoticSweep:
     def test_stable_cell_records_generation(self):
-        res = sweep_asymptotic(spec1(2.0, -0.8), m_max=30)
+        res = sweep_asymptotic(spec1(2.0, -0.8))
         assert res.values[0, 0] == 1
         assert res.mode is GridMode.ASYMPTOTIC
-        assert res.m_max == 30
 
     def test_out_of_regime_cell_is_sentinel(self):
         # tau_L = 2.5 exceeds 2*sqrt(1.4): no certificate attempted
-        res = sweep_asymptotic(spec1(2.5, -0.5), m_max=30)
+        res = sweep_asymptotic(spec1(2.5, -0.5))
         assert res.values[0, 0] == -1
 
     def test_witness_cell_is_sentinel(self):
-        res = sweep_asymptotic(spec1(1.4, -1.4), m_max=30)
+        res = sweep_asymptotic(spec1(1.4, -1.4))
         assert res.values[0, 0] == -1
-
-    def test_m_max_below_one_is_rejected_out_of_regime_too(self):
-        # every cell here has tau_L > 2 sqrt(1.4), so ga92 never runs
-        spec = GridSpec((3.0, 3.4), (-1.0, 0.0), 2, 2, 1.4, -1.2)
-        with pytest.raises(ValueError, match="m_max"):
-            sweep_asymptotic(spec, m_max=0)
 
     def test_worker_count_does_not_change_results(self):
         spec = GridSpec((0.5, 2.0), (-0.8, -0.2), 2, 2, 1.4, -1.2)
-        serial = sweep_asymptotic(spec, m_max=10, workers=1)
-        forked = sweep_asymptotic(spec, m_max=10, workers=2)
+        serial = sweep_asymptotic(spec, workers=1)
+        forked = sweep_asymptotic(spec, workers=2)
         assert np.array_equal(serial.values, forked.values)
 
     def test_cell_error_is_raised_not_recorded(self, monkeypatch):
@@ -139,7 +132,7 @@ class TestAsymptoticSweep:
 
         monkeypatch.setattr(sweep, "ga92", broken)
         with pytest.raises(DegenerateImageError, match="cell failed"):
-            sweep_asymptotic(spec1(2.0, -0.8), m_max=30)
+            sweep_asymptotic(spec1(2.0, -0.8))
 
 
 class TestCsvOutput:
@@ -160,7 +153,7 @@ class TestCsvOutput:
         assert float(first[2]) == res.values[0, 0]
 
     def test_asymptotic_values_are_integers(self, tmp_path):
-        res = sweep_asymptotic(spec1(2.0, -0.8), m_max=30)
+        res = sweep_asymptotic(spec1(2.0, -0.8))
         path = tmp_path / "grid.csv"
         write_grid_csv(res, path)
         lines = path.read_text().splitlines()
@@ -175,7 +168,7 @@ class TestCsvOutput:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unwritable_path(self, tmp_path):
-        res = sweep_asymptotic(spec1(2.0, -0.8), m_max=5)
+        res = sweep_asymptotic(spec1(2.0, -0.8))
         with pytest.raises(OSError, match="grid CSV"):
             write_grid_csv(res, tmp_path / "missing" / "grid.csv")
 
@@ -203,26 +196,23 @@ class TestPgmOutput:
 
     def test_asymptotic_pixels(self, tmp_path):
         spec = GridSpec((1.0, 1.0), (-1.0, 0.0), 1, 2, 1.4, -1.2)
-        values = np.array([[-1, 15]], dtype=np.int64)
-        res = GridResult(spec, GridMode.ASYMPTOTIC, values, None, m_max=30)
+        values = np.array([[-1, 1]], dtype=np.int64)
+        res = GridResult(spec, GridMode.ASYMPTOTIC, values)
         path = tmp_path / "grid.pgm"
         write_grid_pgm(res, path)
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n1 2\n255\n")
-        assert list(raw[len(b"P5\n1 2\n255\n") :]) == [136, 0]
+        assert list(raw[len(b"P5\n1 2\n255\n") :]) == [255, 0]
 
-    def test_asymptotic_pixels_need_m_max_only_for_certified_cells(self, tmp_path):
+    def test_asymptotic_pixels_are_black_or_white(self, tmp_path):
         spec = GridSpec((1.0, 2.0), (-1.0, 0.0), 2, 2, 1.4, -1.2)
         sentinels = np.full((2, 2), -1, dtype=np.int64)
         path = tmp_path / "grid.pgm"
         write_grid_pgm(GridResult(spec, GridMode.ASYMPTOTIC, sentinels), path)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(4)
-        certified = np.array([[-1, 3], [30, -1]], dtype=np.int64)
-        with pytest.raises(ValueError, match="m_max"):
-            write_grid_pgm(GridResult(spec, GridMode.ASYMPTOTIC, certified), path)
-        write_grid_pgm(GridResult(spec, GridMode.ASYMPTOTIC, certified, m_max=30), path)
-        # m = 3 is round(255 * 28 / 30) = 238; m = 30 is 255 / 30 = 8.5, rounded to even
-        assert list(path.read_bytes()[len(b"P5\n2 2\n255\n") :]) == [238, 0, 0, 8]
+        certified = np.array([[-1, 1], [1, -1]], dtype=np.int64)
+        write_grid_pgm(GridResult(spec, GridMode.ASYMPTOTIC, certified), path)
+        assert list(path.read_bytes()[len(b"P5\n2 2\n255\n") :]) == [255, 0, 0, 255]
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = GridSpec((1.0, 2.0), (-1.0, 0.0), 2, 2, 1.4, -1.2)
