@@ -2,14 +2,15 @@
 
 ``ga92`` decides stability from a sub-action of the arc graph of the circle
 map (``sphere.sub_action``): the sub-action bounds |g^t x| by C exp(-eta t)
-|x|, and the star region with radius exp(-(v_i - min v)) on arc i maps into
-itself.  The polygon layer re-checks that one image, so a Stable verdict
-has m = 1.  ``delta_sequence`` grows the seed triangle (0,0), (1,0), (0,1)
-by repeated images for the ``polygons`` command.  Positive homogeneity
-keeps every region in play star-shaped about the origin, so regions are
-stored as a radial boundary chain r(phi) over an angular support inside
-[0, pi], and set union / containment / separation all reduce to comparing
-one-dimensional radial functions.
+|x|, and one inequality per arc shows that the star region with radius
+exp(-(v_i - min v)) on arc i maps into itself, so a Stable verdict has m =
+1 and maps no polygon.  The tests map that region with this layer as an
+independent check, and ``delta_sequence`` grows the seed triangle (0,0),
+(1,0), (0,1) by repeated images for the ``polygons`` command.  Positive
+homogeneity keeps every region star-shaped about the origin, so regions
+are stored as a radial boundary chain r(phi) over an angular support
+inside [0, pi], and union / containment / separation all reduce to
+comparing one-dimensional radial functions.
 
 A chain is a sequence of boundary points at non-decreasing angles; two
 consecutive points may share an angle, encoding a radial jump edge (these
@@ -398,39 +399,28 @@ class CertificateStatus(Enum):
 class Ga92Verdict:
     """Outcome of the stability certificate.
 
-    A ``Stable`` verdict carries a sub-action of the arc graph of G and the
-    region ``omega_final`` built from it, which maps into itself: ``m`` is 1,
-    the one image that the polygon layer re-checks, and
-    ``containment_residuals`` holds that image's worst radial protrusion
-    over the region.  Every other verdict has m = None.  ``k`` is always
-    None: no iterate has to clear the unit segment, since the sub-action
-    gives the decay rate itself.  An instability witness is a periodic ray
-    orbit whose average log-stretch is positive, which rules out Lyapunov
-    stability outright.  The ``note`` of a ``NotDecided`` verdict names its
-    reason: a failed re-check, a cycle of positive weight in the arc graph
-    at the last arc count, or the round budget.
+    A ``Stable`` verdict carries the region ``omega_final`` built from a
+    sub-action of the arc graph of G, which maps into itself: ``m`` is 1,
+    and ``containment_residuals`` holds -min(``SubAction.slack``), negative
+    where the region has room.  Other verdicts have m = None, and ``k`` is
+    always None.  An instability witness is a periodic ray orbit with
+    positive average log-stretch, which rules out Lyapunov stability.  A
+    ``NotDecided`` note names its reason: a failed arc check, a cycle of
+    positive weight in the arc graph at the last arc count, or the round
+    budget.
     """
 
     status: CertificateStatus
-    m: int | None
-    k: int | None
-    witness: PeriodicOrbit | None
-    containment_residuals: tuple[float, ...]
-    omega_final: StarPolygon | None
+    m: int | None = None
+    k: int | None = None
+    witness: PeriodicOrbit | None = None
+    containment_residuals: tuple[float, ...] = ()
+    omega_final: StarPolygon | None = None
     note: str = ""
 
 
-def _check_certificate_regime(params: NormalForm2D) -> None:
-    if params.in_certificate_regime:
-        return
-    if not params.in_sign_regime:
-        raise RegimeError("certificate requires delta_L > 0 and delta_R < 0")
-    raise RegimeError("certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)")
-
-
-# Arc counts tried for a sub-action, in order.  A chord of one arc dips to
-# cos(pi / 2n) of its radius, below the sub-action's margin exp(-eta) from
-# n = 2048 on, so the region built from it maps into itself.
+# Arc counts tried for a sub-action, in order; the arc check needs
+# eta + ln cos(pi / 2n) > 0, which holds from n = 2048 on.
 SUB_ACTION_ARCS = (2048, 8192)
 
 
@@ -453,29 +443,23 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
 
     Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
     searches the periodic ray orbits of period <= WITNESS_P_MAX for an
-    instability witness.  Otherwise it looks for a sub-action of the arc
-    graph of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first
-    one found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min
-    v), and its region (``_sub_action_region``) must map into itself under
-    the polygon layer with a protrusion of at most EPS_GEOM / (10 C), a
-    tenth of EPS_GEOM at the region's smallest radius 1/C; then the verdict
-    is Stable with m = 1.  A failed re-check is NotDecided.  A run that
-    finds a cycle of positive weight in the arc graph, or runs out of
-    rounds, moves on to the next arc count; after the last one the verdict
-    is NotDecided, and its note names the cycle's length or the budget.
+    instability witness.  Otherwise it tries a sub-action of the arc graph
+    of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first one
+    found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min v).
+    The verdict is Stable with m = 1 if the slack of every arc exceeds its
+    rounding margin, so that the region (``_sub_action_region``) maps into
+    itself, and NotDecided if not.  A cycle of positive weight or an
+    exhausted round budget moves on to the next arc count; after the last
+    one the verdict is NotDecided, and its note names the cycle or budget.
     """
-    _check_certificate_regime(params)
-
-    def verdict(status, m=None, witness=None, residuals=(), omega=None, note=""):
-        return Ga92Verdict(status, m, None, witness, residuals, omega, note)
-
-    witnesses = [
-        o
-        for o in periodic_orbits_G(params, p_max=WITNESS_P_MAX)
-        if o.lambda_value > LAMBDA_POS_TOL
-    ]
+    if not params.in_sign_regime:
+        raise RegimeError("certificate requires delta_L > 0 and delta_R < 0")
+    if not params.in_certificate_regime:
+        raise RegimeError("certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)")
+    orbits = periodic_orbits_G(params, p_max=WITNESS_P_MAX)
+    witnesses = [o for o in orbits if o.lambda_value > LAMBDA_POS_TOL]
     if witnesses:
-        return verdict(
+        return Ga92Verdict(
             CertificateStatus.INSTABILITY_WITNESS,
             witness=max(witnesses, key=lambda o: o.lambda_value),
             note="periodic ray orbit with positive average log-stretch",
@@ -485,34 +469,21 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
         sa = sub_action(params, n)
         if sa.v is None:
             continue
-        spread = float(sa.v.max() - sa.v.min())
-        omega = _sub_action_region(sa)
-        residual = containment_protrusion(omega, image_polygon(params, omega))
-        # Omega's radii run from 1 down to 1/C = exp(-spread); the slack
-        # scales with the smallest of them, so that it stays below the
-        # margin the sub-action leaves on every arc.
-        if residual > EPS_GEOM / 10.0 * math.exp(-spread):
-            return verdict(
-                CertificateStatus.NOT_DECIDED,
-                residuals=(residual,),
-                omega=omega,
-                note=f"sub-action at n = {n} failed the polygon re-check, residual {residual:.3g}",
-            )
-        return verdict(
-            CertificateStatus.STABLE,
-            1,
-            residuals=(residual,),
-            omega=omega,
-            note=(
-                f"sub-action at n = {n} after {sa.rounds} rounds: "
-                f"|g^t x| <= C*exp(-{sa.eta:g}*t)*|x| with C = {math.exp(spread):.6g}"
-            ),
+        slack = float(sa.slack.min())
+        region = {"containment_residuals": (-slack,), "omega_final": _sub_action_region(sa)}
+        if not slack > sa.slack_margin:
+            note = f"sub-action at n = {n} failed the arc check, slack {slack:.3g}"
+            return Ga92Verdict(CertificateStatus.NOT_DECIDED, note=note, **region)
+        note = (
+            f"sub-action at n = {n} after {sa.rounds} rounds: "
+            f"|g^t x| <= C*exp(-{sa.eta:g}*t)*|x| with C = {math.exp(sa.v.max() - sa.v.min()):.6g}"
         )
+        return Ga92Verdict(CertificateStatus.STABLE, 1, note=note, **region)
     if sa.cycle is not None:
         note = f"arc graph at n = {n} has a cycle of positive weight over {sa.cycle.size} arcs"
     else:
         note = f"no sub-action within the round budget at n = {n}"
-    return verdict(CertificateStatus.NOT_DECIDED, note=note)
+    return Ga92Verdict(CertificateStatus.NOT_DECIDED, note=note)
 
 
 def delta_sequence(params: NormalForm2D | PWLMap, n: int) -> list[StarPolygon]:

@@ -132,8 +132,11 @@ class SubAction:
     image cone.  ``rounds`` is the round at which the run stopped.  When v
     converged, v >= 0 and v_i >= w_i + eta + max(v[lo_i .. hi_i]) for every
     arc, so along every orbit the sum of ln D over t steps is at most
-    -eta * t + max(v) - min(v), and ``cycle`` is None.  Otherwise ``v`` is
-    None, and ``cycle`` is either a closed walk of arcs, each one a
+    -eta * t + max(v) - min(v), and ``cycle`` is None.  Then ``slack[i]``
+    is ln cos(pi / 2n) - (w_i + max(v[lo_i .. hi_i]) - v_i), and a slack
+    above ``slack_margin`` on every arc proves that the star region with
+    radius exp(-(v_i - min v)) on arc i maps into itself.  Otherwise ``v``
+    is None, and ``cycle`` is either a closed walk of arcs, each one a
     successor of the one before and the first a successor of the last,
     whose sum of w + eta is positive, which proves that no sub-action
     exists; or None when the round budget ran out.
@@ -147,6 +150,8 @@ class SubAction:
     rounds: int
     cycle: np.ndarray | None = None
     eta: float = SUB_ACTION_ETA
+    slack: np.ndarray | None = None
+    slack_margin: float = 0.0
 
 
 def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
@@ -175,6 +180,21 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     out a fixed point, even in rounded arithmetic, so the run stops there
     with v None and the cycle; a run that would converge never meets one,
     and returns the same v at the same round as without the search.
+
+    With W_i the exact maximum of ln D on arc i, a point of the arc at radius
+    rho_i = exp(-(v_i - min v)) maps to radius at most exp(W_i) rho_i in arcs
+    lo_i..hi_i, where the region's chord over arc j stays at radius cos(pi /
+    2n) rho_j or more; so the region maps into itself if ln cos(pi / 2n) - (W_i
+    + max v[lo_i..hi_i] - v_i) >= 0 on every arc.  With u = 2^-53 and T =
+    max(|tau_L|, |tau_R|), the computed slack s_i errs from that by at most: 3u
+    in ln cos; 3u (|w_i| + max v + 1) in its three sums, the range maximum
+    being exact; and W_i - w_i <= 5u + 4u (T + 1) exp(-w_i) + 2u |w_i| in w,
+    since cos and sin err by 2u, x = tau c + s by 3u (T + 1) + u |x|, D^2 at an
+    arc end by 9u D^2 + 6u (T + 1) D and the peak value by 10u of itself, while
+    a peak misplaced across an arc end raises w_i or moves D^2 to second order
+    (ARC_PAD pads the cone ends).  So s_i > slack_margin = 2^-50 (2 + max |w| +
+    max v + (1 + T) exp(-min w)) on every arc proves it.  Exact arithmetic
+    gives s_i >= eta + ln cos(pi / 2n), 7.06e-7 at n = 2048.
     """
     _require_sign_regime(params)
     if n_arcs < 2 or n_arcs % 2:
@@ -217,9 +237,13 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
         for k in range(1, table.shape[0]):
             span = 1 << (k - 1)
             np.maximum(table[k - 1, :-span], table[k - 1, span:], out=table[k, :-span])
-        new = np.maximum(0.0, base + np.maximum(table[level, lo], table[level, tail]))
+        top = np.maximum(table[level, lo], table[level, tail])
+        new = np.maximum(0.0, base + top)
         if np.array_equal(new, v):
-            return SubAction(edges, w, lo, hi, v, rounds)
+            slack = math.log(math.cos(math.pi / (2 * n_arcs))) - (w + top - v)
+            t = max(abs(params.tau_L), abs(params.tau_R))
+            margin = 2.0**-50 * (2.0 + np.abs(w).max() + v.max() + (1.0 + t) * np.exp(-w.min()))
+            return SubAction(edges, w, lo, hi, v, rounds, slack=slack, slack_margin=float(margin))
         if rounds % CYCLE_CHECK_EVERY == 0:
             cycle = _positive_cycle(table, level, lo, tail, base)
             if cycle is not None:
@@ -717,12 +741,17 @@ def histogram_G(
         raise ValueError("n must be positive")
     th = float(_check_angles(theta0))
     step = params.step_scalar
-    samples = np.empty(n)
+    # The orbit carries its vector instead of calling cos and sin, rescaled
+    # only once it leaves [1e-100, 1e100]; a folded angle restarts at (1, 0).
+    x, y = math.cos(th), math.sin(th)
+    samples = [0.0] * n
     for i in range(n):
-        x, y = step(math.cos(th), math.sin(th))
-        a = math.atan2(y, x)
-        th = 0.0 if a < 0.0 or a >= math.pi else a
-        samples[i] = th
+        x, y = step(x, y)
+        th = samples[i] = math.atan2(y, x)
+        if th < 0.0 or th >= math.pi:
+            x, y, samples[i] = 1.0, 0.0, 0.0
+        elif not 1e-100 < abs(x) + abs(y) < 1e100:
+            x, y = x / math.hypot(x, y), y / math.hypot(x, y)
     return np.histogram(samples, bins=bins, range=(0.0, math.pi), density=True)
 
 

@@ -139,9 +139,9 @@ class TestAnalyze:
         "point, digest",
         [
             (PT_FOLD, "ea01654e340d2edbe478c5ff834f5383e432db66af0b1a69c67b60b4cb3937bb"),
-            (PT_STABLE, "1a9e467588bbaaf81f4bc6ef3b80c7a926ff6b2dbb0426a80ef8ce22e7bea6f3"),
+            (PT_STABLE, "d990d04af5f0e0fcd51917b80f3e810986a05eaa2df9bad477664c1ac774fddb"),
             (PT_UNSTABLE, "d4c5c7fb1490e4ff69df494dbc23cea098fc9604c09808adf84d7ec800e444bf"),
-            (PT_CONTRACT, "308a4056b502455326f71604da9a6cb6af82da36efd20b5aa1625a69c61fa6b2"),
+            (PT_CONTRACT, "f95f7ed7b8f52dc9821dd8f7b261dee06afb98d074295bcc9dd3ab552c3f3b34"),
         ],
         ids=["fold", "stable", "unstable", "contract"],
     )

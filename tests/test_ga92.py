@@ -1,5 +1,6 @@
-"""The stability certificate (sub-action plus polygon re-check) and the
-polygon layer's supporting invariants."""
+"""The stability certificate (sub-action plus arc check), the polygon layer
+as an independent oracle for its regions, and the layer's supporting
+invariants."""
 
 import functools
 import hashlib
@@ -41,7 +42,7 @@ class TestVerdicts:
         assert v.status is CertificateStatus.STABLE
         assert v.m == 1 and v.k is None
         assert v.witness is None
-        assert v.containment_residuals[-1] <= EPS_GEOM / 10
+        assert v.containment_residuals[-1] < 0.0
 
     def test_instability_witness(self):
         v = ga92(NormalForm2D(*PT_UNSTABLE))
@@ -144,13 +145,18 @@ class TestVerdicts:
         assert v.note.startswith("sub-action at n = 8192 after 73 rounds: ")
 
     def test_failed_recheck_is_not_decided(self, monkeypatch):
-        # a region whose image protrudes by more than EPS_GEOM / 10 certifies
-        # nothing, whatever the sub-action says
-        monkeypatch.setattr(polygons, "containment_protrusion", lambda *a: EPS_GEOM / 5)
-        v = ga92(NormalForm2D(*PT_STABLE))
+        # with eta = 1e-8 the sub-action still converges at n = 2048, but its
+        # decay rate is smaller than the chord's dip, -ln cos(pi / 4096) =
+        # 2.9e-7, so the region need not map into itself and the arc check
+        # must refuse it
+        monkeypatch.setattr(sphere, "SUB_ACTION_ETA", 1e-8)
+        params = NormalForm2D(*PT_STABLE)
+        assert sub_action(params, 2048).v is not None
+        v = ga92(params)
         assert v.status is CertificateStatus.NOT_DECIDED
-        assert v.m is None and v.containment_residuals == (EPS_GEOM / 5,)
-        assert "failed the polygon re-check" in v.note
+        assert v.m is None
+        assert v.containment_residuals[0] == pytest.approx(2.84e-7, rel=0.01)
+        assert v.note.startswith("sub-action at n = 2048 failed the arc check, slack ")
 
     def test_rejects_rotating_left_half(self):
         with pytest.raises(RegimeError, match="2\\*sqrt"):
@@ -180,10 +186,21 @@ class TestAcceptancePlane:
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
         assert digest == "74b53b912c8e1594f20c26c52cf3eaf2999de78ea3ac4d4315cba7a0facdb84e"
 
+    def test_decision_path_uses_no_polygon_images(self, monkeypatch):
+        # the arc check alone decides: with the polygon images disabled
+        # ga92 still gives the pinned outcomes
+        def disabled(*args, **kwargs):
+            raise AssertionError("polygon layer called on the decision path")
+
+        for name in ("image_polygon", "union_star", "containment_protrusion"):
+            monkeypatch.setattr(polygons, name, disabled)
+        self.test_outcomes_pinned()
+
     def test_certified_regions_pass_the_recheck(self):
-        # every Stable cell's region maps into itself with a negative
-        # residual, re-read here from the returned region
-        residuals = []
+        # every Stable cell's region maps into itself under the polygon
+        # layer, an oracle independent of the arc check, and the residual
+        # is the smallest arc slack, negated
+        protrusions = []
         for tl in np.linspace(0.0, 3.5, 16):
             for tr in np.linspace(-2.0, 1.0, 8):
                 params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
@@ -191,21 +208,36 @@ class TestAcceptancePlane:
                     v = ga92(params)
                     if v.status is CertificateStatus.STABLE:
                         omega = v.omega_final
-                        residuals.append(containment_protrusion(omega, image_polygon(params, omega)))
-                        assert residuals[-1] == v.containment_residuals[0]
-        assert len(residuals) == 17
-        assert max(residuals) < 0.0
+                        protrusions.append(containment_protrusion(omega, image_polygon(params, omega)))
+                        assert v.note.startswith("sub-action at n = 2048 ")
+                        slack = sub_action(params, 2048).slack
+                        assert v.containment_residuals == (-slack.min(),)
+        assert len(protrusions) == 17
+        assert max(protrusions) < 0.0
 
 
 class TestVerdictInvariants:
     def test_stable_certificate_recheck(self):
         # replay the certified fact from the returned region: it maps into
-        # itself with room to spare
+        # itself under the polygon layer, and the residual is the smallest
+        # arc slack, negated, with room above the rounding margin
         params = NormalForm2D(*PT_STABLE)
         v = ga92(params)
         omega = v.omega_final
-        img = image_polygon(params, omega)
-        assert containment_protrusion(omega, img) == v.containment_residuals[0] < 0.0
+        assert containment_protrusion(omega, image_polygon(params, omega)) < 0.0
+        sa = sub_action(params, 2048)
+        assert v.containment_residuals == (-sa.slack.min(),)
+        assert -v.containment_residuals[0] > sa.slack_margin
+
+    def test_large_constant_needs_no_scaled_threshold(self):
+        # C = 4.6e4 here, so Omega's smallest radius is 2e-5, where a radial
+        # protrusion in absolute terms shows almost no room (-4.1e-11); the
+        # slack is in logs and reads the same room as anywhere else
+        params = NormalForm2D(2.3058, 1.3338, -0.5749, -1.4860)
+        v = ga92(params)
+        assert v.status is CertificateStatus.STABLE
+        assert 4.5e4 < float(v.note.rsplit("C = ", 1)[1]) < 4.7e4
+        assert -1e-6 <= v.containment_residuals[0] <= -7e-7
 
     def test_monotone_absorption(self):
         # once trapped, adding the next image changes nothing

@@ -461,7 +461,7 @@ class TestHistogram:
         a = histogram_G(NormalForm2D(*PT_STABLE), n=5_000, bins=50)
         b = histogram_G(NormalForm2D(*PT_STABLE), n=5_000, bins=50)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        assert _sha256(a[0]) == "6d1b877842b3c3f6ce74f64be0692021e725364124238b4e8adbead3fb849765"
+        assert _sha256(a[0]) == "15e68ee5c92814a2971d082f956ab08cd241db6ed4fe82826cb6c1e489e5a0c8"
 
 
 class TestPeriodicOrbits:
@@ -583,12 +583,18 @@ class TestSubAction:
 
     @pytest.mark.parametrize("pt", [PT_STABLE, PT_CONTRACT], ids=["stable", "contract"])
     def test_returned_arrays_satisfy_the_inequality(self, pt):
-        # re-verify each arc from the returned arrays alone, one slice at a time
+        # re-verify each arc from the returned arrays alone, one slice at a
+        # time, and re-read its slack against the chord's dip
         sa = sub_action(NormalForm2D(*pt), 2048)
         v = sa.v
+        chord = math.log(math.cos(math.pi / 4096))
         assert np.all(v >= 0.0)
         for i in range(v.size):
-            assert v[i] >= sa.w[i] + sa.eta + v[sa.lo[i] : sa.hi[i] + 1].max()
+            top = v[sa.lo[i] : sa.hi[i] + 1].max()
+            assert v[i] >= sa.w[i] + sa.eta + top
+            assert sa.slack[i] == chord - (sa.w[i] + top - v[i])
+        assert sa.slack.min() >= sa.eta + chord - 1e-12
+        assert 0.0 < sa.slack_margin < 1e-13
 
     @pytest.mark.parametrize("pt", [PT_STABLE, PT_UNSTABLE, PT_CONTRACT])
     def test_graph_bounds_the_circle_map(self, pt):
