@@ -80,11 +80,11 @@ class NormalForm2D:
     the individual analyses check their own regime requirements
     (``delta_L > 0 > delta_R`` for the sphere decomposition work).
 
-    ``step``, ``step_scalar`` and ``advance`` are the one definition of the
-    map's step (x, y) -> (tau x + y, -delta x) used by the angular and
-    sampled orbits: points with x <= 0 take the left pair (tau_L, delta_L),
-    the rest the right pair.  Both sides agree on x = 0 up to the sign of a
-    zero.
+    ``step``, ``step_scalar``, ``advance`` and ``first_exit`` are the one
+    definition of the map's step (x, y) -> (tau x + y, -delta x) used by
+    the angular and sampled orbits: points with x <= 0 take the left pair
+    (tau_L, delta_L), the rest the right pair.  Both sides agree on x = 0 up
+    to the sign of a zero.
     """
 
     tau_L: float
@@ -115,6 +115,24 @@ class NormalForm2D:
             else:
                 x, y = tr * x + y, ndr * x
         return x, y
+
+    def first_exit(self, x: float, y: float, k: int, lo_sq: float, hi_sq: float) -> int:
+        """Where ``advance``'s orbit from one point first leaves [lo_sq, hi_sq].
+
+        Tests the squared norm after each of at most k steps and returns 1
+        at the first one below lo_sq, -1 at the first one above hi_sq or
+        not a number, and 0 when all k stay inside.
+        """
+        tl, ndl, tr, ndr = self.tau_L, -self.delta_L, self.tau_R, -self.delta_R
+        for _ in range(k):
+            if x <= 0.0:
+                x, y = tl * x + y, ndl * x
+            else:
+                x, y = tr * x + y, ndr * x
+            s = x * x + y * y
+            if not lo_sq <= s <= hi_sq:  # NaN fails it too
+                return 1 if s < lo_sq else -1
+        return 0
 
     def matrix(self, side: str) -> np.ndarray:
         if side == "left":

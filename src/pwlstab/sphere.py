@@ -332,6 +332,10 @@ BLOCK_MEMO_MAX = 1024
 # few ulps, and keeps their logarithms away from 0.
 STRETCH_PAD = 1e-9
 
+# rho_sampled finishes the last few live samples one at a time: below this
+# many, numpy's per-call overhead costs more than a scalar step per sample.
+_SCALAR_TAIL = 32
+
 
 def _stretch_bounds(params: NormalForm2D) -> tuple[float, float]:
     """Bounds (grow, shrink) on the stretch of a vector by one step of the map.
@@ -669,6 +673,16 @@ def rho_sampled(
     Every sample still exits at the step where a test on every step would
     catch it, so the estimate is the same as with no skipping.
 
+    A tested step reads only the extremes q_min and q_max, which the skip
+    needs anyway.  Only when q_min < CONV_RADIUS^2, q_max > DIV_RADIUS^2 or
+    a NaN (which makes q_min NaN) shows that some sample left does the loop
+    count the converged ones and drop the exits; with none out, that would
+    drop nothing.  Once at most _SCALAR_TAIL samples are alive, numpy's
+    per-call overhead would outweigh the work, so each finishes alone in
+    ``NormalForm2D.first_exit``, tested on every step for the steps left.
+    That is the same step on the same floats with the same two comparisons,
+    so each sample exits at the same step with the same class.
+
     The samples run in angle order, sorted after they are drawn and
     normalised, so neighbouring samples tend to sit on the same side of
     the switching line and each step's side mask comes in runs.  The RNG
@@ -702,14 +716,15 @@ def rho_sampled(
 
     x, y = pts[:, 0], pts[:, 1]
     sq = x * x + y * y
+    lo, hi = float(sq.min()), float(sq.max())
     n_conv = 0
     left = orbit_budget
-    while left > 0 and x.size:
+    while left > 0 and x.size > _SCALAR_TAIL:
         skip = 0
         if shrink_rate > 0.0:
             skip = min(
-                math.floor(math.log(float(sq.min()) / conv_sq) / shrink_rate),
-                math.floor(math.log(div_sq / float(sq.max())) / grow_rate),
+                math.floor(math.log(lo / conv_sq) / shrink_rate),
+                math.floor(math.log(div_sq / hi) / grow_rate),
                 left - 1,
             )
         for _ in range(skip):
@@ -717,12 +732,21 @@ def rho_sampled(
         x, y = params.step(x, y)
         left -= skip + 1
         sq = x * x + y * y
-        # NaN fails both comparisons, inf the second
-        alive = (sq >= conv_sq) & (sq <= div_sq)
-        if not alive.all():
+        lo, hi = float(sq.min()), float(sq.max())
+        # a NaN anywhere makes lo NaN, which fails the test
+        if not (lo >= conv_sq and hi <= div_sq):
+            alive = (sq >= conv_sq) & (sq <= div_sq)
             n_conv += int(np.count_nonzero(sq < conv_sq))
             x, y, sq = x[alive], y[alive], sq[alive]
-    return RhoEstimate(n_conv / n_samples, x.size / n_samples, n_samples, seed)
+            if x.size:
+                lo, hi = float(sq.min()), float(sq.max())
+    n_alive = x.size
+    if left > 0:
+        for x0, y0 in zip(x.tolist(), y.tolist()):
+            fate = params.first_exit(x0, y0, left, conv_sq, div_sq)
+            n_conv += fate > 0
+            n_alive -= fate != 0
+    return RhoEstimate(n_conv / n_samples, n_alive / n_samples, n_samples, seed)
 
 
 def histogram_G(

@@ -113,9 +113,16 @@ def _row(cell, spec: GridSpec, i: int) -> list:
 
 
 def _cells(cell, spec: GridSpec, workers: int) -> list[list]:
-    """``cell(spec, i, j)`` over the grid, one tau_L row per task."""
+    """``cell(spec, i, j)`` over the grid, one tau_L row per task.
+
+    The pool holds at most one process per row: a fork-based pool starts
+    all of its processes up front, whether or not they get work.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     row = partial(_row, cell, spec)
-    if workers <= 1:
+    workers = min(workers, spec.nx)
+    if workers == 1:
         return [row(i) for i in range(spec.nx)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(row, range(spec.nx)))

@@ -330,6 +330,18 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_no_workers_is_2(self, workers, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--mode", "measure", "--tl-min", "1", "--tl-max", "2",
+                "--tr-min", "-1", "--tr-max", "0", "--nx", "2", "--ny", "2",
+                "--dl", "1.4", "--dr", "-1.2", "--out", str(out), "--workers", workers]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be at least 1" in captured.err
+        assert not out.exists()
+
     def test_unknown_flag_is_2(self):
         out = run_cli("rho", "--nonsense", check=False)
         assert out.returncode == 2

@@ -12,9 +12,10 @@ from pwlstab import (
     RhoEstimate,
     orbit,
     rho_closed_form,
+    mix_seed,
     rho_sampled,
 )
-from pwlstab.maps import CONV_RADIUS, DIV_RADIUS
+from pwlstab.maps import CONV_RADIUS, DIV_RADIUS, ORBIT_BUDGET
 
 from conftest import (
     FOLD_PSI,
@@ -144,11 +145,37 @@ class TestSampled:
             (0.0, 1e9, 0.0, -1e9),
             # a NaN side that max() and min() skip over in the bounds
             (2.5, 1.4, math.nan, -1.2),
+            # NaN on the left: every sample turns NaN at its first step
+            (math.nan, 1.4, -0.5, -1.2),
+            # inf: the first step gives inf and then NaN coordinates
+            (math.inf, 1.4, -0.5, -1.2),
         ]
+        # 32 and 33 samples sit on either side of the scalar tail's size
         for case in cases:
             params = NormalForm2D(*case)
             for budget in (0, 1, 2, 37, 10_000):
-                for n in (1, 100, 4000):
+                for n in (1, 32, 33, 100, 4000):
                     got = rho_sampled(params, n_samples=n, orbit_budget=budget, seed=5)
                     want = per_step_rho(params, n, budget, 5)
                     assert got == want, (case, budget, n)
+
+    def test_scalar_tail_takes_over(self, monkeypatch):
+        # a cell of the 16x8 measure plane where a few samples stay in the
+        # band for the whole budget: they finish in the scalar tail, so the
+        # vector step runs fewer times than the budget
+        params = NormalForm2D(0.23333333333333334, 1.4, -1.1428571428571428, -1.2)
+        seed = mix_seed(1, 1, 2)
+        want = per_step_rho(params, 100, ORBIT_BUDGET, seed)
+        calls = 0
+        vector_step = NormalForm2D.step
+
+        def counted(self, x, y):
+            nonlocal calls
+            calls += 1
+            return vector_step(self, x, y)
+
+        monkeypatch.setattr(NormalForm2D, "step", counted)
+        got = rho_sampled(params, n_samples=100, seed=seed)
+        assert 0 < calls < ORBIT_BUDGET
+        assert got == want
+        assert (got.rho_hat, got.undecided_fraction) == (0.86, 0.14)

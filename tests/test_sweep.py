@@ -105,6 +105,57 @@ class TestMeasureSweep:
             sweep_measure(spec1(2.5, -0.5), samples_per_cell=10)
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkers:
+    SPEC = GridSpec((1.0, 2.0), (-1.0, 0.0), 4, 2, 1.4, -1.2)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        return FakePool.sizes
+
+    def test_pool_has_at_most_one_process_per_row(self, pool_sizes):
+        serial = sweep_measure(self.SPEC, samples_per_cell=20, base_seed=2)
+        assert pool_sizes == []
+        for workers, size in ((5000, 4), (4, 4), (3, 3), (2, 2)):
+            res = sweep_measure(self.SPEC, samples_per_cell=20, base_seed=2, workers=workers)
+            assert pool_sizes[-1] == size
+            assert np.array_equal(res.values, serial.values)
+        sweep_asymptotic(self.SPEC, workers=5000)
+        assert pool_sizes[-1] == 4
+
+    def test_single_row_runs_without_a_pool(self, pool_sizes):
+        sweep_asymptotic(spec1(2.0, -0.8), workers=8)
+        sweep_measure(spec1(2.0, -0.8), samples_per_cell=20, workers=8)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_rejected(self, workers, pool_sizes):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_measure(self.SPEC, samples_per_cell=20, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_asymptotic(self.SPEC, workers=workers)
+        assert pool_sizes == []
+
+
 class TestAsymptoticSweep:
     def test_stable_cell_records_generation(self):
         res = sweep_asymptotic(spec1(2.0, -0.8))
