@@ -83,8 +83,14 @@ class NormalForm2D:
     ``step``, ``step_scalar``, ``advance`` and ``first_exit`` are the one
     definition of the map's step (x, y) -> (tau x + y, -delta x) used by
     the angular and sampled orbits: points with x <= 0 take the left pair
-    (tau_L, delta_L), the rest the right pair.  Both sides agree on x = 0 up
-    to the sign of a zero.
+    (tau_L, delta_L), the rest (x > 0 or NaN) the right pair.  Both sides
+    agree on x = 0 up to the sign of a zero.
+
+    ``step`` gathers each point's coefficients from two 2-entry tables,
+    (tau_R, tau_L) and (-delta_R, -delta_L), indexed by (x <= 0) as an
+    integer; they are built once per instance.  The tables are not fields,
+    so ==, hash, repr and ``dataclasses.asdict`` see the four parameters
+    only.
     """
 
     tau_L: float
@@ -92,12 +98,21 @@ class NormalForm2D:
     tau_R: float
     delta_R: float
 
+    def __post_init__(self) -> None:
+        # negated once here; negation is exact
+        object.__setattr__(self, "_tau", np.array([self.tau_R, self.tau_L], dtype=float))
+        object.__setattr__(
+            self, "_neg_delta", np.array([-self.delta_R, -self.delta_L], dtype=float)
+        )
+
     def step(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step of the map on coordinate arrays, elementwise."""
-        left = x <= 0.0
-        tau = np.where(left, self.tau_L, self.tau_R)
-        # negating inside the where saves an array pass; negation is exact
-        return tau * x + y, np.where(left, -self.delta_L, -self.delta_R) * x
+        """One step of the map on coordinate arrays, elementwise.
+
+        The same multiply and add on the same operands as ``step_scalar``,
+        so bit for bit equal to it, signed zeros included.
+        """
+        side = np.less_equal(x, 0.0).astype(np.intp)  # 1 takes the left pair
+        return self._tau[side] * x + y, self._neg_delta[side] * x
 
     def step_scalar(self, x: float, y: float) -> tuple[float, float]:
         """``step`` on one point, without numpy overhead, for sequential orbits."""

@@ -325,7 +325,7 @@ KERNEL_TOL = 1e-12
 # Bounds on a block of unnormalised steps; see _block_length.
 BLOCK_MAX = 32
 BLOCK_GROWTH = 1e12
-# Entries birkhoff_lambda's block memo holds before it is cleared.
+# Entries of one generation of birkhoff_lambda's block memo.
 BLOCK_MEMO_MAX = 1024
 # Relative padding that makes rho_sampled's stretch bounds hold for the
 # rounded step, whose stretch can fall below the exact shrink bound by a
@@ -389,9 +389,13 @@ def birkhoff_lambda(
     would.
 
     Blocks are memoised on the exact float state: a dict maps (zx, zy, k)
-    to (ln d, wx / d, wy / d), and is cleared once it holds BLOCK_MEMO_MAX
-    = 1024 entries, so memory stays bounded at any n.  An entry is stored
-    only after the kernel check has passed.  The block map is a
+    to (ln d, wx / d, wy / d), and starts a new generation once it holds
+    BLOCK_MEMO_MAX = 1024 entries, so memory stays bounded at any n.  A
+    generation that filled up without a hit switches the memo off for the
+    rest of the orbit: the orbit is taken not to repeat its float states,
+    and the key and the lookup would cost every block for nothing.  Either
+    way each block returns the same floats.  An entry is stored only after
+    the kernel check has passed.  The block map is a
     deterministic function of its key, so a hit returns the very floats
     the block would compute, and lambda_hat and std_error are bit-identical
     to the plain loop.  (+0.0 and -0.0 share a key; states that differ only
@@ -418,24 +422,32 @@ def birkhoff_lambda(
 
     zx, zy = float(z[0]), float(z[1])
     block = _block_length(params)
-    memo: dict[tuple[float, float, int], tuple[float, float, float]] = {}
+    # None once a full generation of the memo has gone without a hit
+    memo: dict[tuple[float, float, int], tuple[float, float, float]] | None = {}
+    hits = 0  # in the memo's current generation
 
     def log_stretch(steps: int) -> float:
         """Sum of ln D over the next ``steps`` steps of the unit orbit."""
-        nonlocal zx, zy
+        nonlocal zx, zy, memo, hits
         total = 0.0
         while steps > 0:
             k = min(block, steps)
-            key = (zx, zy, k)
-            hit = memo.get(key)
+            hit = None
+            if memo is not None:
+                key = (zx, zy, k)
+                hit = memo.get(key)
             if hit is None:
                 wx, wy = params.advance(zx, zy, k)
                 d = math.hypot(wx, wy)
                 if d < KERNEL_TOL:
                     raise ZeroImageError("orbit hit the kernel of a side matrix")
-                if len(memo) >= BLOCK_MEMO_MAX:
-                    memo.clear()
-                hit = memo[key] = (math.log(d), wx / d, wy / d)
+                hit = (math.log(d), wx / d, wy / d)
+                if memo is not None and len(memo) >= BLOCK_MEMO_MAX:
+                    memo, hits = ({} if hits else None), 0
+                if memo is not None:
+                    memo[key] = hit
+            else:
+                hits += 1
             log_d, zx, zy = hit
             total += log_d
             steps -= k
@@ -674,21 +686,23 @@ def rho_sampled(
     catch it, so the estimate is the same as with no skipping.
 
     A tested step reads only the extremes q_min and q_max, which the skip
-    needs anyway.  Only when q_min < CONV_RADIUS^2, q_max > DIV_RADIUS^2 or
-    a NaN (which makes q_min NaN) shows that some sample left does the loop
-    count the converged ones and drop the exits; with none out, that would
-    drop nothing.  Once at most _SCALAR_TAIL samples are alive, numpy's
+    needs anyway, as ``np.minimum.reduce`` and ``np.maximum.reduce`` (the
+    ``min``/``max`` methods add a Python-level wrapper per call).  Only
+    when q_min < CONV_RADIUS^2, q_max > DIV_RADIUS^2 or a NaN (which makes
+    q_min NaN) shows that some sample left does the loop count the
+    converged ones and drop the exits; with none out, that would drop
+    nothing.  Once at most _SCALAR_TAIL samples are alive, numpy's
     per-call overhead would outweigh the work, so each finishes alone in
     ``NormalForm2D.first_exit``, tested on every step for the steps left.
     That is the same step on the same floats with the same two comparisons,
     so each sample exits at the same step with the same class.
 
-    The samples run in angle order, sorted after they are drawn and
-    normalised, so neighbouring samples tend to sit on the same side of
-    the switching line and each step's side mask comes in runs.  The RNG
-    stream is unchanged, and the step acts on each sample alone; the
-    counts and the extreme norms that set the skips do not depend on the
-    order, so the estimate is the same as in draw order.
+    The samples run in draw order.  The step acts on each sample alone,
+    and the counts and the extreme norms that set the skips do not depend
+    on the order, so any order would give the same estimate.  The vector
+    loop runs under ``np.errstate(over="ignore", invalid="ignore")``: an
+    overflow to inf or an inf - inf = NaN is a divergence the exit test
+    catches, as in the scalar tail, which never warns.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -702,9 +716,6 @@ def rho_sampled(
         pts[bad] = rng.normal(size=(int(bad.sum()), 2))
         norms = np.linalg.norm(pts, axis=1)
     pts /= norms[:, None]
-    # Angle order gives the side mask of each step long runs, which
-    # np.where handles faster than a random mask.
-    pts = pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]), kind="stable")]
 
     conv_sq = CONV_RADIUS * CONV_RADIUS
     div_sq = DIV_RADIUS * DIV_RADIUS
@@ -716,30 +727,32 @@ def rho_sampled(
 
     x, y = pts[:, 0], pts[:, 1]
     sq = x * x + y * y
-    lo, hi = float(sq.min()), float(sq.max())
+    vmin, vmax = np.minimum.reduce, np.maximum.reduce
+    lo, hi = float(vmin(sq)), float(vmax(sq))
     n_conv = 0
     left = orbit_budget
-    while left > 0 and x.size > _SCALAR_TAIL:
-        skip = 0
-        if shrink_rate > 0.0:
-            skip = min(
-                math.floor(math.log(lo / conv_sq) / shrink_rate),
-                math.floor(math.log(div_sq / hi) / grow_rate),
-                left - 1,
-            )
-        for _ in range(skip):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while left > 0 and x.size > _SCALAR_TAIL:
+            skip = 0
+            if shrink_rate > 0.0:
+                skip = min(
+                    math.floor(math.log(lo / conv_sq) / shrink_rate),
+                    math.floor(math.log(div_sq / hi) / grow_rate),
+                    left - 1,
+                )
+            for _ in range(skip):
+                x, y = params.step(x, y)
             x, y = params.step(x, y)
-        x, y = params.step(x, y)
-        left -= skip + 1
-        sq = x * x + y * y
-        lo, hi = float(sq.min()), float(sq.max())
-        # a NaN anywhere makes lo NaN, which fails the test
-        if not (lo >= conv_sq and hi <= div_sq):
-            alive = (sq >= conv_sq) & (sq <= div_sq)
-            n_conv += int(np.count_nonzero(sq < conv_sq))
-            x, y, sq = x[alive], y[alive], sq[alive]
-            if x.size:
-                lo, hi = float(sq.min()), float(sq.max())
+            left -= skip + 1
+            sq = x * x + y * y
+            lo, hi = float(vmin(sq)), float(vmax(sq))
+            # a NaN anywhere makes lo NaN, which fails the test
+            if not (lo >= conv_sq and hi <= div_sq):
+                alive = (sq >= conv_sq) & (sq <= div_sq)
+                n_conv += int(np.count_nonzero(sq < conv_sq))
+                x, y, sq = x[alive], y[alive], sq[alive]
+                if x.size:
+                    lo, hi = float(vmin(sq)), float(vmax(sq))
     n_alive = x.size
     if left > 0:
         for x0, y0 in zip(x.tolist(), y.tolist()):

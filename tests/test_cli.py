@@ -170,6 +170,14 @@ class TestRho:
         out = run_cli("rho", *STABLE_ARGS, "--samples", "200")
         assert "rho_closed_form=unavailable" in out.stdout
 
+    def test_overflowing_orbits_print_no_warning(self):
+        out = run_cli(
+            "rho", "--tl", "1e200", "--dl", "1.4", "--tr", "-0.5", "--dr", "-1.2",
+            "--samples", "100",
+        )
+        assert parse_kv(out.stdout)["rho_sampled"] == "0.0"
+        assert out.stderr == ""
+
 
 class TestLambda:
     def test_output_and_determinism(self):

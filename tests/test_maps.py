@@ -1,6 +1,10 @@
 """Map types, continuity validation, orbit classification, eigen closed forms."""
 
+import copy
+import dataclasses
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -92,13 +96,43 @@ class TestNormalFormStep:
 
     def test_array_and_scalar_agree_bit_for_bit(self):
         rng = np.random.default_rng(4)
-        x = np.concatenate((rng.normal(size=200), [0.0, -0.0, 5e-324, -5e-324]))
-        y = np.concatenate((rng.normal(size=200), [1.5, -2.5, 0.7, -0.3]))
-        ax, ay = self.params.step(x, y)
+        # every pairing of non-finite and signed-zero x with non-finite y;
+        # a NaN x takes the right pair on both paths
+        odd_x = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]
+        odd_y = [math.nan, math.inf, -math.inf, 0.5]
+        ox, oy = zip(*itertools.product(odd_x, odd_y))
+        x = np.concatenate((rng.normal(size=200), [0.0, -0.0, 5e-324, -5e-324], ox))
+        y = np.concatenate((rng.normal(size=200), [1.5, -2.5, 0.7, -0.3], oy))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ax, ay = self.params.step(x, y)
         sx, sy = zip(*(self.params.step_scalar(float(a), float(b)) for a, b in zip(x, y)))
         # tobytes tells -0.0 from 0.0
         assert np.array(sx).tobytes() == ax.tobytes()
         assert np.array(sy).tobytes() == ay.tobytes()
+
+    def test_side_tables_stay_out_of_the_dataclass(self):
+        p = NormalForm2D(2.0, 1.4, -0.8, -1.2)
+        x = np.array([-1.0, -0.0, 0.0, 1.0, math.nan])
+        y = np.array([0.5, 0.5, -0.5, 2.0, 1.0])
+        want = [a.tobytes() for a in p.step(x, y)]
+        # before and after a step
+        for _ in range(2):
+            assert p == NormalForm2D(2.0, 1.4, -0.8, -1.2)
+            assert hash(p) == hash((2.0, 1.4, -0.8, -1.2))
+            assert repr(p) == "NormalForm2D(tau_L=2.0, delta_L=1.4, tau_R=-0.8, delta_R=-1.2)"
+            assert [f.name for f in dataclasses.fields(p)] == [
+                "tau_L", "delta_L", "tau_R", "delta_R"
+            ]
+            assert dataclasses.asdict(p) == {
+                "tau_L": 2.0, "delta_L": 1.4, "tau_R": -0.8, "delta_R": -1.2
+            }
+            for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+                assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+                assert [a.tobytes() for a in q.step(x, y)] == want
+            p.step(x, y)
+        # a replaced parameter reaches the step
+        q = dataclasses.replace(p, tau_R=3.0)
+        assert q.step(np.array([1.0]), np.array([0.0]))[0][0] == 3.0
 
     @pytest.mark.parametrize("k", [1, 7, 32])
     def test_advance_is_repeated_step_bit_for_bit(self, k):

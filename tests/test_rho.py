@@ -1,6 +1,7 @@
 """Attracted-fraction computations: closed form vs direct orbit counting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestSampled:
                     got = rho_sampled(params, n_samples=n, orbit_budget=budget, seed=5)
                     want = per_step_rho(params, n, budget, 5)
                     assert got == want, (case, budget, n)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_overflow_is_a_divergence_not_a_warning(self, n):
+        # finite parameters whose first step overflows to inf: 10 samples
+        # run in the scalar tail, 100 start in the vector loop
+        params = NormalForm2D(1e200, 1.4, -0.5, -1.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = per_step_rho(params, n, ORBIT_BUDGET, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rho_sampled(params, n_samples=n, seed=1)
+        assert got == want
 
     def test_scalar_tail_takes_over(self, monkeypatch):
         # a cell of the 16x8 measure plane where a few samples stay in the

@@ -48,6 +48,7 @@ from pwlstab import (
     sub_action,
 )
 from pwlstab.sphere import (
+    BLOCK_MEMO_MAX,
     N_BATCHES,
     SUB_ACTION_ROUNDS,
     _block_length,
@@ -411,8 +412,9 @@ class TestBirkhoffMemo:
         assert same_float(est.lambda_hat, lambda_hat)
         assert same_float(est.std_error, std_error)
 
-    def test_repeated_blocks_are_not_recomputed(self, monkeypatch):
-        params = NormalForm2D(*PT_CYCLING)
+    @pytest.fixture
+    def advance_calls(self, monkeypatch):
+        """The k of every ``NormalForm2D.advance`` call, in order."""
         calls = []
         advance = NormalForm2D.advance
 
@@ -421,10 +423,45 @@ class TestBirkhoffMemo:
             return advance(self, x, y, k)
 
         monkeypatch.setattr(NormalForm2D, "advance", counted)
+        return calls
+
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    def test_matches_unmemoised_loop_after_switch_off(self, burn_in, advance_calls):
+        # n = 100 000 at PT_STABLE: over 3600 blocks of 28 steps no block
+        # repeats, so the first full memo generation has no hit and the
+        # memo is switched off for the rest of the orbit
+        params = NormalForm2D(*PT_STABLE)
+        lambda_hat, std_error = unmemoised_lambda(params, u(0.5), 100_000, burn_in)
+        advance_calls.clear()
+        est = birkhoff_lambda(params, u(0.5), n=100_000, burn_in=burn_in)
+        assert _block_length(params) == 28
+        blocks = math.ceil(burn_in / 28) + 100 * math.ceil(1000 / 28)
+        assert len(advance_calls) == blocks > BLOCK_MEMO_MAX
+        assert same_float(est.lambda_hat, lambda_hat)
+        assert same_float(est.std_error, std_error)
+
+    @pytest.mark.parametrize("memo_max, switched_off", [(4, True), (6, False)])
+    def test_generation_without_a_hit_switches_the_memo_off(
+        self, monkeypatch, advance_calls, memo_max, switched_off
+    ):
+        # PT_CYCLING's blocks repeat from the 7th on.  A 4-entry generation
+        # fills with blocks 1 to 4, none of them a hit, so every later block
+        # is computed; in a 6-entry one the 7th block hits, and the memo
+        # carries on into its next generation.
+        monkeypatch.setattr(sphere, "BLOCK_MEMO_MAX", memo_max)
+        birkhoff_lambda(NormalForm2D(*PT_CYCLING), u(0.5), n=20_000, burn_in=0)
+        blocks = 100 * math.ceil(200 / 16)
+        if switched_off:
+            assert len(advance_calls) == blocks
+        else:
+            assert len(advance_calls) < blocks // 100
+
+    def test_repeated_blocks_are_not_recomputed(self, advance_calls):
+        params = NormalForm2D(*PT_CYCLING)
         birkhoff_lambda(params, u(0.5), n=20_000, burn_in=1000)
         blocks = math.ceil(1000 / 16) + 100 * math.ceil(200 / 16)
         assert _block_length(params) == 16
-        assert len(calls) < blocks // 100
+        assert len(advance_calls) < blocks // 100
 
     def test_memo_memory_is_bounded(self):
         # 200 000 blocks of one step: with the memo never cleared the peak
