@@ -149,15 +149,14 @@ class NormalForm2D:
                 return 1 if s < lo_sq else -1
         return 0
 
-    def matrix(self, side: str) -> np.ndarray:
-        if side == "left":
-            return np.array([[self.tau_L, 1.0], [-self.delta_L, 0.0]])
-        if side == "right":
-            return np.array([[self.tau_R, 1.0], [-self.delta_R, 0.0]])
-        raise ValueError("side must be 'left' or 'right'")
-
     def pwl(self) -> PWLMap:
-        return PWLMap(self.matrix("left"), self.matrix("right"), np.array([1.0, 0.0]))
+        """The same map as a ``PWLMap``: companion matrices [[tau, 1], [-delta, 0]]
+        of the left and right pairs, switching normal (1, 0)."""
+        return PWLMap(
+            np.array([[self.tau_L, 1.0], [-self.delta_L, 0.0]]),
+            np.array([[self.tau_R, 1.0], [-self.delta_R, 0.0]]),
+            np.array([1.0, 0.0]),
+        )
 
     @property
     def in_sign_regime(self) -> bool:
@@ -173,13 +172,6 @@ class NormalForm2D:
     def in_certificate_regime(self) -> bool:
         """delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L): where ga92 applies."""
         return self.in_sign_regime and self.tau_L < self.left_spiral_bound
-
-
-def make_normal_form(
-    tau_L: float, delta_L: float, tau_R: float, delta_R: float
-) -> PWLMap:
-    """Build the planar normal form map from its trace/determinant quadruple."""
-    return NormalForm2D(tau_L, delta_L, tau_R, delta_R).pwl()
 
 
 def eval_pwl(m: PWLMap, x: np.ndarray) -> np.ndarray:
@@ -262,17 +254,15 @@ def orbit(
 
 @dataclass(frozen=True)
 class EigenPair2:
-    """Eigenvalue/eigenvector of a 2x2 companion matrix [[tau,1],[-delta,0]].
+    """One eigenvalue of the companion matrix [[tau, 1], [-delta, 0]].
 
-    ``vector`` is (1, value - tau) normalized; for a complex pair it is the
-    complex eigenvector and ``angle`` is None.  For real pairs ``angle`` is
-    the direction of the eigenvector folded into [0, pi).  ``degenerate``
-    flags a repeated root (tau^2 = 4 delta), where the matrix has a single
-    eigendirection and both returned pairs coincide.
+    Its eigendirection is (1, value - tau).  For a real pair ``angle`` is
+    that direction's angle folded into [0, pi); for a complex pair it is
+    None.  ``degenerate`` flags a repeated root (tau^2 = 4 delta), where the
+    matrix has a single eigendirection and both returned pairs coincide.
     """
 
     value: complex
-    vector: np.ndarray
     angle: float | None
     degenerate: bool
 
@@ -287,43 +277,28 @@ def _direction_angle(slope: float) -> float:
     return a if a >= 0.0 else a + math.pi
 
 
-def eig2(a: np.ndarray) -> tuple[EigenPair2, EigenPair2]:
-    """Closed-form eigendecomposition of a 2x2 companion matrix.
+def eig2(tau: float, delta: float) -> tuple[EigenPair2, EigenPair2]:
+    """Closed-form eigenpairs of the companion matrix [[tau, 1], [-delta, 0]].
 
-    Returns the pair ordered (plus-branch, minus-branch) by the sign in
-    tau/2 +- sqrt(tau^2/4 - delta).  Raises ValueError when the matrix is
-    not in companion form, since the closed form below hard-codes it.
+    The one eigen-solve of the planar normal form, taken per side from that
+    side's (tau, delta).  Returns the pair ordered (plus-branch,
+    minus-branch) by the sign in tau/2 +- sqrt(tau^2/4 - delta).  Where
+    tau^2 overflows, the real roots are +-inf and both angles pi/2.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError("eig2 expects a 2x2 matrix")
-    if abs(a[0, 1] - 1.0) > 1e-12 or abs(a[1, 1]) > 1e-12:
-        raise ValueError("eig2 expects companion form [[tau, 1], [-delta, 0]]")
-    tau = float(a[0, 0])
-    delta = float(-a[1, 0])
-
     disc = tau * tau / 4.0 - delta
     if disc < 0.0:
         root = math.sqrt(-disc)
-        lam_p = complex(tau / 2.0, root)
-        lam_m = complex(tau / 2.0, -root)
-        vec_p = np.array([1.0, lam_p - tau], dtype=complex)
-        vec_m = np.array([1.0, lam_m - tau], dtype=complex)
-        vec_p = vec_p / np.linalg.norm(vec_p)
-        vec_m = vec_m / np.linalg.norm(vec_m)
         return (
-            EigenPair2(lam_p, vec_p, None, False),
-            EigenPair2(lam_m, vec_m, None, False),
+            EigenPair2(complex(tau / 2.0, root), None, False),
+            EigenPair2(complex(tau / 2.0, -root), None, False),
         )
 
     root = math.sqrt(disc)
     degenerate = root == 0.0
-    out = []
-    for lam in (tau / 2.0 + root, tau / 2.0 - root):
-        v = np.array([1.0, lam - tau])
-        v = v / np.linalg.norm(v)
-        out.append(EigenPair2(complex(lam, 0.0), v, _direction_angle(lam - tau), degenerate))
-    return out[0], out[1]
+    return tuple(
+        EigenPair2(complex(lam, 0.0), _direction_angle(lam - tau), degenerate)
+        for lam in (tau / 2.0 + root, tau / 2.0 - root)
+    )
 
 
 def perturbed_map(

@@ -303,14 +303,14 @@ def separated_from_gamma(poly: StarPolygon) -> bool:
 
 def _resolve_matrices(m: NormalForm2D | PWLMap) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(m, NormalForm2D):
-        return m.matrix("left"), m.matrix("right")
-    if isinstance(m, PWLMap):
-        if m.dim != 2:
-            raise ValueError("polygon images are implemented for planar maps only")
-        if abs(m.normal[1]) > 1e-12 or m.normal[0] <= 0.0:
-            raise ValueError("polygon images require the switching line x = 0")
-        return m.A_left, m.A_right
-    raise TypeError("expected NormalForm2D or PWLMap")
+        m = m.pwl()
+    if not isinstance(m, PWLMap):
+        raise TypeError("expected NormalForm2D or PWLMap")
+    if m.dim != 2:
+        raise ValueError("polygon images are implemented for planar maps only")
+    if abs(m.normal[1]) > 1e-12 or m.normal[0] <= 0.0:
+        raise ValueError("polygon images require the switching line x = 0")
+    return m.A_left, m.A_right
 
 
 def _transform_chain(

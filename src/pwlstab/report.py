@@ -85,8 +85,8 @@ def _plain(x, omit: tuple[str, ...] = ()):
     return x
 
 
-def _eigen_side(params: NormalForm2D, side: str) -> dict:
-    plus, minus = eig2(params.matrix(side))
+def _eigen_side(tau: float, delta: float) -> dict:
+    plus, minus = eig2(tau, delta)
     return {
         "values": [
             [float(plus.value.real), float(plus.value.imag)],
@@ -120,8 +120,8 @@ def analyze(params: NormalForm2D) -> AnalysisReport:
         "delta_R": float(params.delta_R),
     }
     eigen = {
-        "left": _eigen_side(params, "left"),
-        "right": _eigen_side(params, "right"),
+        "left": _eigen_side(params.tau_L, params.delta_L),
+        "right": _eigen_side(params.tau_R, params.delta_R),
     }
 
     fixed_points: list = []

@@ -490,9 +490,11 @@ def g_fixed_points(params: NormalForm2D) -> list[GFixedPoint]:
     """
     _require_sign_regime(params)
     out: list[GFixedPoint] = []
-    for side in ("left", "right"):
-        pairs = eig2(params.matrix(side))
-        for pair, branch in zip(pairs, ("plus", "minus")):
+    for side, tau, delta in (
+        ("left", params.tau_L, params.delta_L),
+        ("right", params.tau_R, params.delta_R),
+    ):
+        for pair, branch in zip(eig2(tau, delta), ("plus", "minus")):
             if not pair.is_real or pair.value.real <= 0.0:
                 continue
             theta = pair.angle
@@ -504,27 +506,6 @@ def g_fixed_points(params: NormalForm2D) -> list[GFixedPoint]:
                 out.append(GFixedPoint(theta, pair.value.real, side, branch))
     out.sort(key=lambda fp: fp.theta)
     return out
-
-
-@dataclass(frozen=True)
-class InvariantRay:
-    """Closed invariant ray {alpha * direction : alpha >= 0} with g = factor * id on it."""
-
-    theta: float
-    direction: np.ndarray
-    factor: float
-
-
-def invariant_rays(params: NormalForm2D) -> list[InvariantRay]:
-    """Invariant rays of the planar map, one per fixed point of the circle map."""
-    return [
-        InvariantRay(
-            fp.theta,
-            np.array([math.cos(fp.theta), math.sin(fp.theta)]),
-            fp.multiplier,
-        )
-        for fp in g_fixed_points(params)
-    ]
 
 
 @dataclass(frozen=True)
@@ -611,19 +592,24 @@ def rho_closed_form(params: NormalForm2D) -> float:
     exactly invariance of the absorbing sector.  The attracted set is the
     complement of the arc swept from the repelling left ray theta_L_minus to
     its unique preimage psi in (3pi/2, 2pi) on the full circle, so
-    rho = 1 - (psi - theta_L_minus) / (2 pi).
+    rho = 1 - (psi - theta_L_minus) / (2 pi).  lambda_L_minus and
+    theta_L_minus are the minus pair of ``eig2(tau_L, delta_L)``.
+
+    Raises RegimeError outside that regime, and ArithmeticError when no
+    branch of psi fits or G(psi) misses the repelling ray (as where tau_L^2
+    overflows and lambda_L_minus is -inf).
     """
     _require_sign_regime(params)
     bound = params.left_spiral_bound
     if not params.tau_L > bound:
         raise RegimeError("closed form requires tau_L > 2*sqrt(delta_L)")
-    lam_minus = params.tau_L / 2.0 - math.sqrt(params.tau_L**2 / 4.0 - params.delta_L)
-    slope = lam_minus - params.tau_L  # tangent of the repelling ray angle
+    repelling = eig2(params.tau_L, params.delta_L)[1]
+    slope = repelling.value.real - params.tau_L  # tangent of the repelling ray angle
     if not params.tau_R > -params.delta_R / slope:
         raise RegimeError(
             "closed form requires tau_R > -delta_R/(lambda_L_minus - tau_L)"
         )
-    theta_minus = math.atan(slope) + math.pi
+    theta_minus = repelling.angle  # atan(slope) + pi, since slope < 0
 
     num = params.delta_L - params.delta_R + (params.tau_L - params.tau_R) * slope
     den = params.delta_L * params.tau_R + (

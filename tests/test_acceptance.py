@@ -183,13 +183,18 @@ def _prop_eigen_bijection(rng) -> tuple[bool, str]:
             (params.tau_L, params.delta_L, params.pwl().A_left),
             (params.tau_R, params.delta_R, params.pwl().A_right),
         ):
-            lam1, lam2 = (p.value for p in eig2(mat))
+            lam1, lam2 = (p.value for p in eig2(tau, delta))
+            # the matrices pwl() builds must have the eigenvalues of (tau, delta)
+            mu1, mu2 = np.linalg.eigvals(mat)
+            scale = max(1.0, abs(lam1), abs(lam2))
             worst = max(
                 worst,
                 abs((lam1 + lam2).real - tau) / max(1.0, abs(tau)),
                 abs((lam1 * lam2).real - delta) / max(1.0, abs(delta)),
+                min(max(abs(mu1 - lam1), abs(mu2 - lam2)),
+                    max(abs(mu1 - lam2), abs(mu2 - lam1))) / scale,
             )
-    return worst <= 1e-10, f"trace/det roundtrip worst={worst:.2e}"
+    return worst <= 1e-10, f"trace/det and eigvals roundtrip worst={worst:.2e}"
 
 
 def _prop_factorization(rng) -> tuple[bool, str]:

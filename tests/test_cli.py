@@ -152,6 +152,19 @@ class TestAnalyze:
         out = run_cli("analyze", *args, "--json")
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("tr", ["-0.5", "0.5"])
+    def test_huge_finite_tau_warns_nothing(self, tr):
+        # tau_L^2 overflows: the left eigenvalues are +-inf, and no step of the
+        # report may divide inf by inf on the way
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pwlstab.cli", "analyze",
+             "--tl", "1e200", "--dl", "1.4", "--tr", tr, "--dr", "-1.2", "--json"],
+            capture_output=True,
+            text=True,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["rho"]["method"] == "sampled"
+
 
 class TestRho:
     def test_closed_form_line(self):
@@ -177,6 +190,22 @@ class TestRho:
         )
         assert parse_kv(out.stdout)["rho_sampled"] == "0.0"
         assert out.stderr == ""
+
+    @pytest.mark.parametrize(
+        "tr, reason",
+        [
+            ("-0.5", "closed form requires tau_R > -delta_R/(lambda_L_minus - tau_L)"),
+            ("0.5", "closed-form consistency check failed: G(psi) is not the repelling ray"),
+        ],
+        ids=["tr_negative", "tr_positive"],
+    )
+    def test_huge_finite_tau_gives_the_closed_forms_reason(self, tr, reason):
+        # tau_L^2 overflows; the reason is the closed form's own, not an errno tuple
+        out = run_cli(
+            "rho", "--tl", "1e200", "--dl", "1.4", "--tr", tr, "--dr", "-1.2",
+            "--samples", "100",
+        )
+        assert parse_kv(out.stdout)["rho_closed_form"] == f"unavailable reason={reason!r}"
 
 
 class TestLambda:

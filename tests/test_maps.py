@@ -17,7 +17,6 @@ from pwlstab import (
     PWLMap,
     eig2,
     eval_pwl,
-    make_normal_form,
     orbit,
     perturbed_map,
 )
@@ -27,7 +26,7 @@ finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
 class TestPWLMapValidation:
     def test_accepts_companion_pair(self):
-        m = make_normal_form(2.0, 1.4, -0.8, -1.2)
+        m = NormalForm2D(2.0, 1.4, -0.8, -1.2).pwl()
         assert m.dim == 2
         assert np.allclose(m.A_left, [[2.0, 1.0], [-1.4, 0.0]])
         assert np.allclose(m.A_right, [[-0.8, 1.0], [1.2, 0.0]])
@@ -60,12 +59,12 @@ class TestPWLMapValidation:
 
 class TestEvalPWL:
     def test_sides(self):
-        m = make_normal_form(2.0, 1.4, -0.8, -1.2)
+        m = NormalForm2D(2.0, 1.4, -0.8, -1.2).pwl()
         assert np.allclose(eval_pwl(m, np.array([1.0, 0.0])), [-0.8, 1.2])
         assert np.allclose(eval_pwl(m, np.array([-1.0, 0.0])), [-2.0, 1.4])
 
     def test_boundary_agrees(self):
-        m = make_normal_form(2.0, 1.4, -0.8, -1.2)
+        m = NormalForm2D(2.0, 1.4, -0.8, -1.2).pwl()
         x = np.array([0.0, 3.7])
         assert np.allclose(m.A_left @ x, m.A_right @ x)
         assert np.allclose(eval_pwl(m, x), [3.7, 0.0])
@@ -77,7 +76,7 @@ class TestEvalPWL:
     )
     @settings(max_examples=200, deadline=None)
     def test_positive_homogeneity(self, tl, dl, tr, dr, x, y, alpha):
-        m = make_normal_form(tl, dl, tr, dr)
+        m = NormalForm2D(tl, dl, tr, dr).pwl()
         v = np.array([x, y])
         lhs = eval_pwl(m, alpha * v)
         rhs = alpha * eval_pwl(m, v)
@@ -86,7 +85,7 @@ class TestEvalPWL:
     @given(tl=finite, dl=finite, tr=finite, dr=finite, y=finite)
     @settings(max_examples=200, deadline=None)
     def test_continuity_on_switching_line(self, tl, dl, tr, dr, y):
-        m = make_normal_form(tl, dl, tr, dr)
+        m = NormalForm2D(tl, dl, tr, dr).pwl()
         v = np.array([0.0, y])
         assert np.allclose(m.A_left @ v, m.A_right @ v, rtol=1e-12, atol=1e-12)
 
@@ -196,60 +195,63 @@ class TestOrbit:
 
 class TestEig2:
     def test_real_pair(self):
-        plus, minus = eig2(np.array([[1.0, 1.0], [6.0, 0.0]]))  # tau=1, delta=-6
+        plus, minus = eig2(1.0, -6.0)
         assert plus.value == pytest.approx(3.0)
         assert minus.value == pytest.approx(-2.0)
+        a = np.array([[1.0, 1.0], [6.0, 0.0]])
         for pair in (plus, minus):
             assert pair.is_real and not pair.degenerate
-            a = np.array([[1.0, 1.0], [6.0, 0.0]])
-            assert np.allclose(a @ pair.vector, pair.value.real * pair.vector)
             assert 0.0 <= pair.angle < math.pi
+            u = np.array([math.cos(pair.angle), math.sin(pair.angle)])
+            assert np.allclose(a @ u, pair.value.real * u)
 
     def test_complex_pair(self):
-        plus, minus = eig2(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # tau=0, delta=1
+        plus, minus = eig2(0.0, 1.0)
         assert plus.value == pytest.approx(1j)
         assert minus.value == pytest.approx(-1j)
         assert not plus.is_real and plus.angle is None
 
     def test_degenerate(self):
-        plus, minus = eig2(np.array([[2.0, 1.0], [-1.0, 0.0]]))  # (lambda-1)^2
+        plus, minus = eig2(2.0, 1.0)  # (lambda-1)^2
         assert plus.degenerate and minus.degenerate
         assert plus.value == pytest.approx(1.0)
         assert plus.angle == minus.angle
 
-    def test_rejects_non_companion(self):
-        with pytest.raises(ValueError, match="companion"):
-            eig2(np.eye(2))
-
     @given(tau=finite, delta=finite)
     @settings(max_examples=300, deadline=None)
     def test_trace_det_bijection(self, tau, delta):
-        plus, minus = eig2(np.array([[tau, 1.0], [-delta, 0.0]]))
+        plus, minus = eig2(tau, delta)
         assert plus.value + minus.value == pytest.approx(tau, rel=1e-9, abs=1e-9)
         assert plus.value * minus.value == pytest.approx(delta, rel=1e-9, abs=1e-9)
+        a = np.array([[tau, 1.0], [-delta, 0.0]])
+        for pair in (plus, minus):
+            if pair.is_real:
+                u = np.array([math.cos(pair.angle), math.sin(pair.angle)])
+                lam = pair.value.real
+                assert np.allclose(a @ u, lam * u, rtol=0.0, atol=1e-9 * max(1.0, abs(lam)))
 
 
 class TestPerturbedMap:
     def test_value(self):
-        m = make_normal_form(2.0, 1.4, -0.8, -1.2)
+        m = NormalForm2D(2.0, 1.4, -0.8, -1.2).pwl()
         step = perturbed_map(m, c=0.1, gamma=0.5)
         x = np.array([3.0, 4.0])  # |x| = 5
         expected = eval_pwl(m, x) + 0.1 * 5.0**1.5 * np.array([1.0, 0.0])
         assert np.allclose(step(x), expected)
 
     def test_custom_direction(self):
-        m = make_normal_form(2.0, 1.4, -0.8, -1.2)
+        m = NormalForm2D(2.0, 1.4, -0.8, -1.2).pwl()
         step = perturbed_map(m, 0.2, 1.0, direction=np.array([0.0, 2.0]))
         x = np.array([1.0, 0.0])
         assert np.allclose(step(x), eval_pwl(m, x) + np.array([0.0, 0.4]))
 
     def test_gamma_must_be_positive(self):
-        m = make_normal_form(2.0, 1.4, -0.8, -1.2)
+        m = NormalForm2D(2.0, 1.4, -0.8, -1.2).pwl()
         with pytest.raises(ValueError):
             perturbed_map(m, 0.1, 0.0)
 
     def test_direction_shape_checked(self):
-        m = make_normal_form(2.0, 1.4, -0.8, -1.2)
+        m = NormalForm2D(2.0, 1.4, -0.8, -1.2).pwl()
         with pytest.raises(ValueError):
             perturbed_map(m, 0.1, 0.5, direction=np.ones(3))
 
@@ -260,5 +262,3 @@ def test_normal_form_helpers():
     assert params.left_spiral_bound == pytest.approx(2.0 * math.sqrt(1.4))
     assert not NormalForm2D(2.0, -1.4, -0.8, -1.2).in_sign_regime
     assert NormalForm2D(2.0, -1.4, -0.8, -1.2).left_spiral_bound == math.inf
-    with pytest.raises(ValueError):
-        params.matrix("middle")

@@ -41,7 +41,6 @@ from pwlstab import (
     eval_pwl,
     g_fixed_points,
     histogram_G,
-    invariant_rays,
     periodic_orbits_G,
     sphere,
     sphere_eval,
@@ -236,9 +235,10 @@ class TestFixedPoints:
     def test_invariant_rays_scale_by_multiplier(self):
         params = NormalForm2D(*PT_FOLD)
         m = params.pwl()
-        for ray in invariant_rays(params):
-            img = eval_pwl(m, ray.direction)
-            assert np.allclose(img, ray.factor * ray.direction, rtol=1e-9, atol=1e-12)
+        for fp in g_fixed_points(params):
+            u = np.array([math.cos(fp.theta), math.sin(fp.theta)])
+            img = eval_pwl(m, u)
+            assert np.allclose(img, fp.multiplier * u, rtol=1e-9, atol=1e-12)
 
 
 class TestClassifyRegimes:
