@@ -403,6 +403,18 @@ def birkhoff_lambda(
     norm reads.)  Orbits of G often settle onto a cycle of float states,
     and there most blocks repeat an earlier state.
 
+    Batches are memoised the same way, one level up.  Every batch runs the
+    same n // batches steps, so its sum and end state are a deterministic
+    function of its start state: a dict maps (zx, zy) to (sum, zx, zy) at
+    the batch's end, and a batch that starts from a state seen before
+    returns those floats without running a block.  It holds at most 100
+    entries.  An orbit that repeats its float state at a batch boundary
+    skips every later batch; most settled orbits do so from their first
+    batch.  The block memo stays: a float cycle longer than a batch (one of
+    798 blocks, say) brings a batch back to an earlier start state only
+    after many laps, if at all within n steps, while the block memo reuses
+    its blocks from the second lap on.
+
     The first ``burn_in`` steps are discarded so the average samples the
     attractor rather than the transient.  lambda_hat averages all n steps.
     The standard error comes from min(100, n) batch means of n // batches
@@ -456,7 +468,18 @@ def birkhoff_lambda(
     log_stretch(burn_in)
     batches = min(N_BATCHES, n)
     size = n // batches
-    sums = [log_stretch(size) for _ in range(batches)]
+    # every batch runs `size` steps, so its sum and end state depend only on
+    # its start state
+    batch_memo: dict[tuple[float, float], tuple[float, float, float]] = {}
+    sums = []
+    for _ in range(batches):
+        start = (zx, zy)
+        hit = batch_memo.get(start)
+        if hit is None:
+            total = log_stretch(size)
+            hit = batch_memo[start] = (total, zx, zy)
+        total, zx, zy = hit
+        sums.append(total)
     lambda_hat = math.fsum(sums + [log_stretch(n - batches * size)]) / n
     std_error = float("nan")
     if batches > 1:
@@ -647,6 +670,25 @@ class RhoEstimate:
     seed: int
 
 
+@functools.lru_cache(maxsize=1)
+def _unit_directions(n_samples: int, seed: int) -> np.ndarray:
+    """Seeded uniform unit directions, shape (n_samples, 2), read-only.
+
+    ``analyze`` asks for the same (n_samples, seed) at every point, so the
+    last draw is kept; the array is shared between callers, hence read-only.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n_samples, 2))
+    norms = np.linalg.norm(pts, axis=1)
+    while np.any(norms < 1e-12):  # essentially never; keeps directions well defined
+        bad = norms < 1e-12
+        pts[bad] = rng.normal(size=(int(bad.sum()), 2))
+        norms = np.linalg.norm(pts, axis=1)
+    pts /= norms[:, None]
+    pts.flags.writeable = False
+    return pts
+
+
 def rho_sampled(
     params: NormalForm2D,
     n_samples: int = 10_000,
@@ -659,6 +701,12 @@ def rho_sampled(
     the norm drops below CONV_RADIUS, diverged above DIV_RADIUS or on
     non-finite values; anything still alive after the budget is undecided.
     Deterministic for a fixed seed.
+
+    The directions depend only on (n_samples, seed): ``_unit_directions``
+    keeps the last draw as a read-only array, so ``analyze``, which asks
+    for the same 10 000 at every point, draws them once.  The loop below
+    never writes them, and another pair draws afresh from the same stream,
+    so the estimate is the same as with a fresh draw on every call.
 
     Steps on which no sample can leave the band [CONV_RADIUS, DIV_RADIUS]
     run without the exit test.  One step stretches a vector by at most
@@ -694,14 +742,7 @@ def rho_sampled(
         raise ValueError("n_samples must be positive")
     if orbit_budget < 0:
         raise ValueError("orbit_budget must be nonnegative")
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n_samples, 2))
-    norms = np.linalg.norm(pts, axis=1)
-    while np.any(norms < 1e-12):  # essentially never; keeps directions well defined
-        bad = norms < 1e-12
-        pts[bad] = rng.normal(size=(int(bad.sum()), 2))
-        norms = np.linalg.norm(pts, axis=1)
-    pts /= norms[:, None]
+    pts = _unit_directions(n_samples, seed)
 
     conv_sq = CONV_RADIUS * CONV_RADIUS
     div_sq = DIV_RADIUS * DIV_RADIUS

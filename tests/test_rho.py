@@ -15,6 +15,7 @@ from pwlstab import (
     rho_closed_form,
     mix_seed,
     rho_sampled,
+    sphere,
 )
 from pwlstab.maps import CONV_RADIUS, DIV_RADIUS, ORBIT_BUDGET
 
@@ -28,9 +29,8 @@ from conftest import (
 )
 
 
-def per_step_rho(params, n_samples, orbit_budget, seed):
-    """rho_sampled with the exit test on every step: the reference that the
-    skipping loop must match exactly."""
+def fresh_directions(n_samples, seed):
+    """rho_sampled's seeded unit directions, drawn anew on every call."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n_samples, 2))
     norms = np.linalg.norm(pts, axis=1)
@@ -38,8 +38,13 @@ def per_step_rho(params, n_samples, orbit_budget, seed):
         bad = norms < 1e-12
         pts[bad] = rng.normal(size=(int(bad.sum()), 2))
         norms = np.linalg.norm(pts, axis=1)
-    pts /= norms[:, None]
+    return pts / norms[:, None]
 
+
+def per_step_rho(params, n_samples, orbit_budget, seed):
+    """rho_sampled with the exit test on every step: the reference that the
+    skipping loop must match exactly."""
+    pts = fresh_directions(n_samples, seed)
     x, y = pts[:, 0], pts[:, 1]
     n_conv = 0
     for _ in range(orbit_budget):
@@ -192,3 +197,21 @@ class TestSampled:
         assert 0 < calls < ORBIT_BUDGET
         assert got == want
         assert (got.rho_hat, got.undecided_fraction) == (0.86, 0.14)
+
+
+class TestDirections:
+    def test_cached_draw_is_read_only(self):
+        pts = sphere._unit_directions(100, 5)
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+        assert sphere._unit_directions(100, 5) is pts
+
+    def test_interleaved_calls_match_fresh_draws(self):
+        # a one-entry cache: each call below replaces the draw the one
+        # before kept, and the last repeats the first pair
+        params = NormalForm2D(*PT_FOLD)
+        for n, seed in ((10_000, 0), (100, 5), (10_000, 0)):
+            got = rho_sampled(params, n_samples=n, seed=seed)
+            assert np.array_equal(sphere._unit_directions(n, seed), fresh_directions(n, seed))
+            assert got == per_step_rho(params, n, ORBIT_BUDGET, seed)

@@ -447,14 +447,29 @@ class TestBirkhoffMemo:
         # PT_CYCLING's blocks repeat from the 7th on.  A 4-entry generation
         # fills with blocks 1 to 4, none of them a hit, so every later block
         # is computed; in a 6-entry one the 7th block hits, and the memo
-        # carries on into its next generation.
+        # carries on into its next generation.  The steps run as burn-in,
+        # which the batch memo does not cover.
         monkeypatch.setattr(sphere, "BLOCK_MEMO_MAX", memo_max)
-        birkhoff_lambda(NormalForm2D(*PT_CYCLING), u(0.5), n=20_000, burn_in=0)
-        blocks = 100 * math.ceil(200 / 16)
+        birkhoff_lambda(NormalForm2D(*PT_CYCLING), u(0.5), n=1, burn_in=20_000)
+        blocks = 20_000 // 16 + 1
         if switched_off:
             assert len(advance_calls) == blocks
         else:
             assert len(advance_calls) < blocks // 100
+
+    def test_repeated_batches_are_not_recomputed(self, monkeypatch, advance_calls):
+        # with the block memo switched off (a 4-entry generation, see
+        # above) only the batch memo is left: PT_CYCLING's third batch of
+        # 13 blocks starts from the state its second did, and so does every
+        # later one
+        monkeypatch.setattr(sphere, "BLOCK_MEMO_MAX", 4)
+        params = NormalForm2D(*PT_CYCLING)
+        lambda_hat, std_error = unmemoised_lambda(params, u(0.5), 20_000, 0)
+        advance_calls.clear()
+        est = birkhoff_lambda(params, u(0.5), n=20_000, burn_in=0)
+        assert len(advance_calls) <= 2 * math.ceil(200 / 16)
+        assert same_float(est.lambda_hat, lambda_hat)
+        assert same_float(est.std_error, std_error)
 
     def test_repeated_blocks_are_not_recomputed(self, advance_calls):
         params = NormalForm2D(*PT_CYCLING)
