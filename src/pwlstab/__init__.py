@@ -2,14 +2,15 @@
 
 The origin of such a map is a fixed point on the switching boundary; this
 package decides and quantifies its stability.  ``maps`` holds the map types
-and orbit iteration, ``sphere`` the radial/angular decomposition (stretch
-factor, circle map, Birkhoff averages, attracted-fraction estimates),
-``polygons`` the forward-image stability certificate for the planar normal
-form, ``sweep`` deterministic two-parameter grids, and ``cli`` the command
-line front end.
+and orbit iteration, ``sphere`` the radial/angular decomposition (circle
+map, Birkhoff averages, attracted fractions, periodic ray orbits), ``arcs``
+the arc graph of the circle map and its sub-action, ``polygons`` star-polygon
+geometry and the certificate ``ga92`` (witness scan, then sub-action),
+``sweep`` deterministic two-parameter grids, and ``cli`` the command line.
 """
 
 from .errors import DegenerateImageError, RegimeError, ZeroImageError
+from .arcs import SubAction, sub_action
 from .maps import (
     CONTINUITY_TOL,
     CONV_RADIUS,
@@ -47,7 +48,6 @@ from .sphere import (
     RegimeReport,
     RhoEstimate,
     SphereMapEval,
-    SubAction,
     angle_of,
     birkhoff_lambda,
     circle_D,
@@ -59,7 +59,6 @@ from .sphere import (
     rho_closed_form,
     rho_sampled,
     sphere_eval,
-    sub_action,
 )
 from .sweep import (
     GridMode,

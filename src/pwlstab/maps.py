@@ -17,6 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 CONTINUITY_TOL = 1e-12
+HALF_PI = math.pi / 2.0  # angle of the planar form's switching ray x = 0
 
 # Orbit classification defaults: relative radius thresholds and step budget.
 CONV_RADIUS = 1e-9
@@ -119,6 +120,13 @@ class NormalForm2D:
         if x <= 0.0:
             return self.tau_L * x + y, -self.delta_L * x
         return self.tau_R * x + y, -self.delta_R * x
+
+    def ray_image(self, theta):
+        """``step`` of the unit ray at angle theta, vectorized over theta.  The
+        switching ray pi/2 is exactly vertical (cos(pi/2) is 6.1e-17 in floats),
+        so both sides send it to the positive x-axis."""
+        c = np.where(theta == HALF_PI, 0.0, np.cos(theta))
+        return self.step(c, np.sin(theta))
 
     def advance(self, x: float, y: float, k: int) -> tuple[float, float]:
         """k steps of ``step_scalar`` from one point, bit for bit, in one call."""

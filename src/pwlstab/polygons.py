@@ -1,12 +1,13 @@
-"""Star-shaped polygon geometry and the asymptotic-stability certificate.
+"""Star-shaped polygon geometry, and the stability certificate ``ga92``.
 
-``ga92`` decides stability from a sub-action of the arc graph of the circle
-map (``sphere.sub_action``): the sub-action bounds |g^t x| by C exp(-eta t)
+``ga92`` builds no geometry: it combines the witness scan
+(``sphere.periodic_orbits_G``) with a sub-action of the arc graph of the
+circle map (``arcs.sub_action``), which bounds |g^t x| by C exp(-eta t)
 |x|, and one inequality per arc shows that the star region with radius
-exp(-(v_i - min v)) on arc i maps into itself, so a Stable verdict has m =
-1 and maps no polygon.  The tests map that region with this layer as an
-independent check, and ``delta_sequence`` grows the seed triangle (0,0),
-(1,0), (0,1) by repeated images for the ``polygons`` command.  Positive
+exp(-(v_i - min v)) on arc i maps into itself.  The geometry here serves
+the ``polygons`` command, where ``delta_sequence`` grows the seed triangle
+(0,0), (1,0), (0,1) by repeated images, and the tests, which map that
+region as a check independent of the arc inequality.  Positive
 homogeneity keeps every region star-shaped about the origin, so regions
 are stored as a radial boundary chain r(phi) over an angular support
 inside [0, pi], and union / containment / separation all reduce to
@@ -29,8 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateImageError, RegimeError
-from .maps import NormalForm2D, PWLMap
-from .sphere import HALF_PI, PeriodicOrbit, SubAction, periodic_orbits_G, sub_action
+from .arcs import sub_action
+from .maps import HALF_PI, NormalForm2D, PWLMap
+from .sphere import PeriodicOrbit, periodic_orbits_G
 
 EPS_GEOM = 1e-9
 ANGLE_TOL = 1e-12
@@ -399,10 +401,11 @@ class CertificateStatus(Enum):
 class Ga92Verdict:
     """Outcome of the stability certificate.
 
-    A ``Stable`` verdict carries the region ``omega_final`` built from a
-    sub-action of the arc graph of G, which maps into itself: ``m`` is 1,
-    and ``containment_residuals`` holds -min(``SubAction.slack``), negative
-    where the region has room.  Other verdicts have m = None, and ``k`` is
+    A ``Stable`` verdict rests on a sub-action of the arc graph of G whose
+    star region maps into itself: ``m`` is 1, and ``containment_residuals``
+    holds -min(``SubAction.slack``), negative where the region has room.
+    The region is not kept; ``sub_action(params, n)`` at the n that the
+    note names rebuilds it.  Other verdicts have m = None, and ``k`` is
     always None.  An instability witness is a periodic ray orbit with
     positive average log-stretch, which rules out Lyapunov stability.  A
     ``NotDecided`` note names its reason: a failed arc check, a cycle of
@@ -415,27 +418,12 @@ class Ga92Verdict:
     k: int | None = None
     witness: PeriodicOrbit | None = None
     containment_residuals: tuple[float, ...] = ()
-    omega_final: StarPolygon | None = None
     note: str = ""
 
 
 # Arc counts tried for a sub-action, in order; the arc check needs
 # eta + ln cos(pi / 2n) > 0, which holds from n = 2048 on.
 SUB_ACTION_ARCS = (2048, 8192)
-
-
-def _sub_action_region(sa: SubAction) -> StarPolygon:
-    """The star region with radius exp(-(v_i - min v)) on arc i.
-
-    Each arc contributes its two ends at its own radius; where two arcs
-    meet, equal radii share one point and different radii make a jump pair.
-    The largest radius is 1.
-    """
-    rho = np.exp(-(sa.v - sa.v.min()))
-    ang = np.repeat(sa.edges, 2)[1:-1]
-    rad = np.repeat(rho, 2)
-    keep = np.append(True, (np.diff(ang) != 0.0) | (np.diff(rad) != 0.0))
-    return StarPolygon(ang[keep], rad[keep])
 
 
 def ga92(params: NormalForm2D) -> Ga92Verdict:
@@ -447,10 +435,11 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
     of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first one
     found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min v).
     The verdict is Stable with m = 1 if the slack of every arc exceeds its
-    rounding margin, so that the region (``_sub_action_region``) maps into
-    itself, and NotDecided if not.  A cycle of positive weight or an
-    exhausted round budget moves on to the next arc count; after the last
-    one the verdict is NotDecided, and its note names the cycle or budget.
+    rounding margin, so that the star region with radius exp(-(v_i - min
+    v)) on arc i maps into itself, and NotDecided if not.  A cycle of
+    positive weight or an exhausted round budget moves on to the next arc
+    count; after the last one the verdict is NotDecided, and its note names
+    the cycle or budget.
     """
     if not params.in_sign_regime:
         raise RegimeError("certificate requires delta_L > 0 and delta_R < 0")
@@ -470,15 +459,16 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
         if sa.v is None:
             continue
         slack = float(sa.slack.min())
-        region = {"containment_residuals": (-slack,), "omega_final": _sub_action_region(sa)}
         if not slack > sa.slack_margin:
+            status, m = CertificateStatus.NOT_DECIDED, None
             note = f"sub-action at n = {n} failed the arc check, slack {slack:.3g}"
-            return Ga92Verdict(CertificateStatus.NOT_DECIDED, note=note, **region)
-        note = (
-            f"sub-action at n = {n} after {sa.rounds} rounds: "
-            f"|g^t x| <= C*exp(-{sa.eta:g}*t)*|x| with C = {math.exp(sa.v.max() - sa.v.min()):.6g}"
-        )
-        return Ga92Verdict(CertificateStatus.STABLE, 1, note=note, **region)
+        else:
+            status, m = CertificateStatus.STABLE, 1
+            note = (
+                f"sub-action at n = {n} after {sa.rounds} rounds: |g^t x| <= "
+                f"C*exp(-{sa.eta:g}*t)*|x| with C = {math.exp(sa.v.max() - sa.v.min()):.6g}"
+            )
+        return Ga92Verdict(status, m, containment_residuals=(-slack,), note=note)
     if sa.cycle is not None:
         note = f"arc graph at n = {n} has a cycle of positive weight over {sa.cycle.size} arcs"
     else:

@@ -2,7 +2,7 @@
 
 Pulls together the eigen data, circle-map fixed points, regime
 classification, attracted-fraction estimate, Birkhoff average and (when the
-certificate applies) the polygon stability verdict, then condenses them into
+certificate applies) the arc-graph stability verdict, then condenses them into
 one overall summary.  Every field is built from plain dicts/lists/floats so
 a report survives a JSON round trip unchanged; the fixed-point, regime,
 Lyapunov and certificate blocks are the engines' own records, converted
@@ -70,12 +70,12 @@ class AnalysisReport:
         return cls(**d)
 
 
-def _plain(x, omit: tuple[str, ...] = ()):
+def _plain(x):
     """JSON-plain copy of a record: a dataclass becomes the dict of its
-    fields (less those named in ``omit``), an Enum its value, a tuple or
-    list a list and a numpy scalar a Python scalar."""
+    fields, an Enum its value, a tuple or list a list and a numpy scalar a
+    Python scalar."""
     if is_dataclass(x):
-        return {f.name: _plain(getattr(x, f.name)) for f in fields(x) if f.name not in omit}
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, Enum):
         return x.value
     if isinstance(x, (tuple, list)):
@@ -86,17 +86,11 @@ def _plain(x, omit: tuple[str, ...] = ()):
 
 
 def _eigen_side(tau: float, delta: float) -> dict:
-    plus, minus = eig2(tau, delta)
+    pairs = eig2(tau, delta)
     return {
-        "values": [
-            [float(plus.value.real), float(plus.value.imag)],
-            [float(minus.value.real), float(minus.value.imag)],
-        ],
-        "angles": [
-            None if plus.angle is None else float(plus.angle),
-            None if minus.angle is None else float(minus.angle),
-        ],
-        "degenerate": bool(plus.degenerate),
+        "values": [[float(p.value.real), float(p.value.imag)] for p in pairs],
+        "angles": [None if p.angle is None else float(p.angle) for p in pairs],
+        "degenerate": bool(pairs[0].degenerate),
     }
 
 
@@ -159,9 +153,8 @@ def analyze(params: NormalForm2D) -> AnalysisReport:
 
     certificate = None
     if params.in_certificate_regime:
-        # The final accumulated region is geometry, not part of the report.
         verdict = ga92(params)
-        certificate = _plain(verdict, omit=("omega_final",))
+        certificate = _plain(verdict)
         if verdict.status is CertificateStatus.STABLE:
             summary = {"kind": "ExponentiallyStable", "rho": 1.0}
         elif verdict.status is CertificateStatus.INSTABILITY_WITNESS:

@@ -42,6 +42,7 @@ from conftest import (
     PT_UNSTABLE,
     record_acceptance,
 )
+from regions import certified_region
 
 
 def run_cli(*args):
@@ -265,7 +266,7 @@ def _sample_stable_points(rng, count=20, max_draws=400):
 def _prop_absorption(stable_points) -> tuple[bool, str]:
     ok = True
     for params, v in stable_points:
-        omega = v.omega_final
+        omega = certified_region(params, v)
         grown = union_star(omega, image_polygon(params, omega))
         ok = ok and containment_protrusion(grown, omega) <= EPS_GEOM
         ok = ok and containment_protrusion(omega, grown) <= EPS_GEOM

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pwlstab import AnalysisReport, cli
+from pwlstab import AnalysisReport, NormalForm2D, cli, ga92
 
 from conftest import FOLD_RHO, PT_CONTRACT, PT_FOLD, PT_STABLE, PT_UNSTABLE
 
@@ -409,6 +409,21 @@ class TestBenchEntryPoints:
                 for part in qual.split("."):
                     obj = getattr(obj, part)
                 assert callable(obj), f"{layer}.{qual}"
+
+    @pytest.mark.parametrize(
+        "pt",
+        [PT_STABLE, PT_UNSTABLE, (2.3, 1.4, -1.9, -1.2)],
+        ids=["stable", "witness", "undecided"],
+    )
+    def test_ga92_verdict_has_what_the_tracer_reads(self, monkeypatch, pt):
+        monkeypatch.syspath_prepend(str(BENCH))
+        tracing = importlib.import_module("tracing")
+        params = NormalForm2D(*pt)
+        v = ga92(params)
+        for attr in ("status", "m", "k", "containment_residuals", "note"):
+            assert hasattr(v, attr), attr
+        info = tracing._info("polygons.ga92", ga92, (params,), {}, v)
+        assert info == (v.status.value, v.m, v.k, len(v.containment_residuals), v.note)
 
     def test_workload_calls_parse(self, monkeypatch, tmp_path):
         monkeypatch.syspath_prepend(str(BENCH))

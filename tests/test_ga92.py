@@ -15,13 +15,13 @@ from pwlstab import (
     NormalForm2D,
     RegimeError,
     StarPolygon,
+    arcs,
     containment_protrusion,
     delta_sequence,
     ga92,
     image_polygon,
     polygons,
     rho_sampled,
-    sphere,
     sub_action,
     union_star,
 )
@@ -34,6 +34,7 @@ from conftest import (
     PT_STABLE,
     PT_UNSTABLE,
 )
+from regions import certified_region
 
 
 class TestVerdicts:
@@ -130,7 +131,7 @@ class TestVerdicts:
         assert v.note == "arc graph at n = 8192 has a cycle of positive weight over 39 arcs"
 
     def test_budget_note_without_the_cycle_search(self, monkeypatch):
-        monkeypatch.setattr(sphere, "CYCLE_CHECK_EVERY", sphere.SUB_ACTION_ROUNDS + 1)
+        monkeypatch.setattr(arcs, "CYCLE_CHECK_EVERY", arcs.SUB_ACTION_ROUNDS + 1)
         v = ga92(NormalForm2D(2.3, 1.4, -1.9, -1.2))
         assert v.status is CertificateStatus.NOT_DECIDED
         assert v.note == "no sub-action within the round budget at n = 8192"
@@ -149,7 +150,7 @@ class TestVerdicts:
         # decay rate is smaller than the chord's dip, -ln cos(pi / 4096) =
         # 2.9e-7, so the region need not map into itself and the arc check
         # must refuse it
-        monkeypatch.setattr(sphere, "SUB_ACTION_ETA", 1e-8)
+        monkeypatch.setattr(arcs, "SUB_ACTION_ETA", 1e-8)
         params = NormalForm2D(*PT_STABLE)
         assert sub_action(params, 2048).v is not None
         v = ga92(params)
@@ -187,12 +188,12 @@ class TestAcceptancePlane:
         assert digest == "74b53b912c8e1594f20c26c52cf3eaf2999de78ea3ac4d4315cba7a0facdb84e"
 
     def test_decision_path_uses_no_polygon_images(self, monkeypatch):
-        # the arc check alone decides: with the polygon images disabled
-        # ga92 still gives the pinned outcomes
+        # the arc check alone decides: with the polygon layer disabled, the
+        # polygon type included, ga92 still gives the pinned outcomes
         def disabled(*args, **kwargs):
             raise AssertionError("polygon layer called on the decision path")
 
-        for name in ("image_polygon", "union_star", "containment_protrusion"):
+        for name in ("image_polygon", "union_star", "containment_protrusion", "StarPolygon"):
             monkeypatch.setattr(polygons, name, disabled)
         self.test_outcomes_pinned()
 
@@ -207,7 +208,7 @@ class TestAcceptancePlane:
                 if params.tau_L < params.left_spiral_bound:
                     v = ga92(params)
                     if v.status is CertificateStatus.STABLE:
-                        omega = v.omega_final
+                        omega = certified_region(params, v)
                         protrusions.append(containment_protrusion(omega, image_polygon(params, omega)))
                         assert v.note.startswith("sub-action at n = 2048 ")
                         slack = sub_action(params, 2048).slack
@@ -223,7 +224,7 @@ class TestVerdictInvariants:
         # arc slack, negated, with room above the rounding margin
         params = NormalForm2D(*PT_STABLE)
         v = ga92(params)
-        omega = v.omega_final
+        omega = certified_region(params, v)
         assert containment_protrusion(omega, image_polygon(params, omega)) < 0.0
         sa = sub_action(params, 2048)
         assert v.containment_residuals == (-sa.slack.min(),)
@@ -243,7 +244,7 @@ class TestVerdictInvariants:
         # once trapped, adding the next image changes nothing
         params = NormalForm2D(*PT_STABLE)
         v = ga92(params)
-        omega = v.omega_final
+        omega = certified_region(params, v)
         grown = union_star(omega, image_polygon(params, omega))
         assert containment_protrusion(grown, omega) <= EPS_GEOM
         assert containment_protrusion(omega, grown) <= EPS_GEOM
@@ -255,7 +256,7 @@ class TestVerdictInvariants:
         params = NormalForm2D(1.9080925437571834, 1.4, -0.35480293933389817, -1.2)
         v = ga92(params)
         assert v.status is CertificateStatus.STABLE
-        omega = v.omega_final
+        omega = certified_region(params, v)
         grown = union_star(omega, image_polygon(params, omega))
         assert containment_protrusion(grown, omega) <= EPS_GEOM
         assert containment_protrusion(omega, grown) <= EPS_GEOM
@@ -290,9 +291,9 @@ class TestVerdictInvariants:
             params = NormalForm2D(*pt)
             v = ga92(params)
             assert v.status is status
-            if v.omega_final is not None:
+            if v.status is CertificateStatus.STABLE:
                 for alpha in (1e-12, 0.25, 4.0):
-                    omega = v.omega_final.scaled(alpha)
+                    omega = certified_region(params, v).scaled(alpha)
                     assert containment_protrusion(omega, image_polygon(params, omega)) < 0.0
 
     def test_stable_point_has_fully_attracted_measure(self):

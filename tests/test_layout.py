@@ -1,0 +1,51 @@
+"""The module layout: ``arcs`` sits low in the import order, so that the
+circle map and the certificate can both build on the arc graph, and the
+certificate's verdict carries no geometry."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+from pwlstab import Ga92Verdict, arcs, polygons, sphere
+
+
+def _relative_imports(module) -> list[tuple[str, list[str]]]:
+    """(module, names) of each ``from .module import names`` in ``module``'s source."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return [
+        (node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+
+
+def _absolute_imports(module) -> list[str]:
+    """Names of the modules that ``module`` imports without a leading dot."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module)
+    return out
+
+
+def test_arcs_imports_only_maps_and_errors():
+    assert {name for name, _ in _relative_imports(arcs)} == {"maps", "errors"}
+    assert not any(name.startswith("pwlstab") for name in _absolute_imports(arcs))
+
+
+def test_polygons_takes_only_sub_action_from_arcs():
+    taken = [names for name, names in _relative_imports(polygons) if name == "arcs"]
+    assert taken == [["sub_action"]]
+
+
+def test_sphere_holds_no_arc_graph():
+    assert "arcs" not in {name for name, _ in _relative_imports(sphere)}
+    for name in ("SubAction", "sub_action", "_positive_cycle", "SUB_ACTION_ETA", "ARC_PAD"):
+        assert not hasattr(sphere, name), name
+
+
+def test_verdict_keeps_no_polygon():
+    assert not any("StarPolygon" in str(f.type) for f in dataclasses.fields(Ga92Verdict))

@@ -41,15 +41,16 @@ from pwlstab import (
     eval_pwl,
     g_fixed_points,
     histogram_G,
+    arcs,
     periodic_orbits_G,
     sphere,
     sphere_eval,
     sub_action,
 )
+from pwlstab.arcs import SUB_ACTION_ROUNDS
 from pwlstab.sphere import (
     BLOCK_MEMO_MAX,
     N_BATCHES,
-    SUB_ACTION_ROUNDS,
     _block_length,
     _lyndon_rotations,
     _word_products,
@@ -141,6 +142,10 @@ class TestSphereEval:
         assert angle_of(np.array([1.0, 0.0])) == 0.0
         assert angle_of(np.array([0.0, 1.0])) == pytest.approx(math.pi / 2)
         assert angle_of(np.array([-1.0, 0.0])) == 0.0  # pi folds to 0
+        # the negative x-axis folds from both sides of zero
+        assert angle_of(np.array([-1.0, -0.0])) == 0.0
+        assert angle_of(np.array([-1.0, -1e-13])) == 0.0
+        assert angle_of(np.array([1.0, -1e-13])) == 0.0
         with pytest.raises(ValueError):
             angle_of(np.array([0.0, -1.0]))
 
@@ -678,7 +683,7 @@ class TestSubAction:
         assert sa.rounds < SUB_ACTION_ROUNDS
 
     def test_runs_out_of_rounds_without_the_cycle_search(self, monkeypatch):
-        monkeypatch.setattr(sphere, "CYCLE_CHECK_EVERY", SUB_ACTION_ROUNDS + 1)
+        monkeypatch.setattr(arcs, "CYCLE_CHECK_EVERY", SUB_ACTION_ROUNDS + 1)
         sa = sub_action(NormalForm2D(*PT_UNSTABLE), 512)
         assert sa.v is None and sa.cycle is None and sa.rounds == SUB_ACTION_ROUNDS
 
