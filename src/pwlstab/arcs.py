@@ -33,9 +33,10 @@ class SubAction:
 
     Arc i is [edges[i], edges[i + 1]].  ``w[i]`` bounds ln D from above on
     the arc, and its successors are the arcs lo[i] .. hi[i] that meet its
-    image cone.  ``rounds`` is the round at which the run stopped.  When v
-    converged, v >= 0 and v_i >= w_i + eta + max(v[lo_i .. hi_i]) for every
-    arc, so along every orbit the sum of ln D over t steps is at most
+    image cone.  ``rounds`` is the round at which the run stopped, and
+    ``eta`` the decay per step that it tested (SUB_ACTION_ETA when it ran).
+    When v converged, v >= 0 and v_i >= w_i + eta + max(v[lo_i .. hi_i])
+    for every arc, so along every orbit the sum of ln D over t steps is at most
     -eta * t + max(v) - min(v), and ``cycle`` is None.  Then ``slack[i]``
     is ln cos(pi / 2n) - (w_i + max(v[lo_i .. hi_i]) - v_i), and a slack
     above ``slack_margin`` on every arc proves that the star region with
@@ -52,8 +53,8 @@ class SubAction:
     hi: np.ndarray
     v: np.ndarray | None
     rounds: int
+    eta: float
     cycle: np.ndarray | None = None
-    eta: float = SUB_ACTION_ETA
     slack: np.ndarray | None = None
     slack_margin: float = 0.0
 
@@ -135,7 +136,8 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
     tail = hi - (1 << level) + 1
     table = np.full((int(level.max()) + 1, n_arcs), -np.inf)
-    base = w + SUB_ACTION_ETA
+    eta = SUB_ACTION_ETA
+    base = w + eta
     v = np.zeros(n_arcs)
     for rounds in range(1, SUB_ACTION_ROUNDS + 1):
         table[0] = v
@@ -148,13 +150,13 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
             slack = math.log(math.cos(math.pi / (2 * n_arcs))) - (w + top - v)
             t = max(abs(params.tau_L), abs(params.tau_R))
             margin = 2.0**-50 * (2.0 + np.abs(w).max() + v.max() + (1.0 + t) * np.exp(-w.min()))
-            return SubAction(edges, w, lo, hi, v, rounds, slack=slack, slack_margin=float(margin))
+            return SubAction(edges, w, lo, hi, v, rounds, eta, slack=slack, slack_margin=float(margin))
         if rounds % CYCLE_CHECK_EVERY == 0:
             cycle = _positive_cycle(table, level, lo, tail, base)
             if cycle is not None:
-                return SubAction(edges, w, lo, hi, None, rounds, cycle)
+                return SubAction(edges, w, lo, hi, None, rounds, eta, cycle)
         v = new
-    return SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS)
+    return SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS, eta)
 
 
 def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
@@ -163,9 +165,11 @@ def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
     The policy sends arc i to an arc of lo[i] .. hi[i] where v is largest,
     read from an index sparse table over the value table.  It is a
     functional graph; pointer doubling takes every arc 2^K >= n steps
-    forward, onto a cycle, while keeping the smallest arc passed, which
-    labels each cycle by its smallest arc.  The weight of base over each
-    cycle is then one bincount.
+    forward, onto a cycle, so the arcs it lands on are exactly the arcs on
+    cycles, usually a few dozen of the n.  Doubling again among those
+    alone, keeping the smallest arc passed, labels each cycle by its
+    smallest arc, and the weight of base over each cycle is one bincount,
+    summed in arc order.
 
     A cycle i_1 -> ... -> i_L -> i_1 rules out a fixed point of the rounded
     loop when its computed sum S exceeds
@@ -192,16 +196,22 @@ def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
     first, second = idx[level, lo], idx[level, tail]
     policy = np.where(vals[first] >= vals[second], first, second)
 
-    jump, low = policy, np.arange(n, dtype=np.int32)
+    jump = policy
     for _ in range(max(n - 1, 1).bit_length()):
-        low = np.minimum(low, low[jump])
         jump = jump[jump]
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[jump] = True
-    label = low[on_cycle]
-    length = np.bincount(label, minlength=n)
-    total = np.bincount(label, base[on_cycle], minlength=n)
-    scale = np.bincount(label, np.abs(base[on_cycle]), minlength=n)
+    # Label the few arcs on cycles by the smallest arc of their cycle: the
+    # same doubling, restricted to them, carrying the smallest arc passed.
+    arcs = np.flatnonzero(on_cycle)
+    step = np.searchsorted(arcs, policy[arcs])
+    low = arcs
+    for _ in range(max(arcs.size - 1, 1).bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    length = np.bincount(low, minlength=n)
+    total = np.bincount(low, base[arcs], minlength=n)
+    scale = np.bincount(low, np.abs(base[arcs]), minlength=n)
     margin = 2.0**-52 * length * (scale + SUB_ACTION_ROUNDS * max(float(base.max()), 0.0))
     excess = np.where(length > 0, total - margin, -np.inf)
     best = int(np.argmax(excess))

@@ -4,7 +4,9 @@
 (``sphere.periodic_orbits_G``) with a sub-action of the arc graph of the
 circle map (``arcs.sub_action``), which bounds |g^t x| by C exp(-eta t)
 |x|, and one inequality per arc shows that the star region with radius
-exp(-(v_i - min v)) on arc i maps into itself.  The geometry here serves
+exp(-(v_i - min v)) on arc i maps into itself; where the arc graph has a
+cycle of positive weight instead, it tests the cycle's word of sides for an
+expanding periodic orbit with the scan's own test.  The geometry here serves
 the ``polygons`` command, where ``delta_sequence`` grows the seed triangle
 (0,0), (1,0), (0,1) by repeated images, and the tests, which map that
 region as a check independent of the arc inequality.  Positive
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import DegenerateImageError, RegimeError
 from .arcs import sub_action
 from .maps import HALF_PI, NormalForm2D, PWLMap
-from .sphere import PeriodicOrbit, periodic_orbits_G
+from .sphere import PeriodicOrbit, periodic_orbits_G, rotation_products, word_orbits
 
 EPS_GEOM = 1e-9
 ANGLE_TOL = 1e-12
@@ -42,6 +44,9 @@ ANGLE_TOL = 1e-12
 LAMBDA_POS_TOL = 1e-9
 # Longest period searched for an instability witness.
 WITNESS_P_MAX = 8
+# Longest primitive word read off a positive cycle of the arc graph and
+# tested as a witness; longer words lose the orbit to rounding.
+CYCLE_WORD_MAX = 64
 
 
 def _cross(ax: float, ay: float, bx: float, by: float) -> float:
@@ -407,9 +412,11 @@ class Ga92Verdict:
     The region is not kept; ``sub_action(params, n)`` at the n that the
     note names rebuilds it.  Other verdicts have m = None, and ``k`` is
     always None.  An instability witness is a periodic ray orbit with
-    positive average log-stretch, which rules out Lyapunov stability.  A
-    ``NotDecided`` note names its reason: a failed arc check, a cycle of
-    positive weight in the arc graph at the last arc count, or the round
+    positive average log-stretch, which rules out Lyapunov stability; its
+    note says whether the witness scan found it or it was read off a
+    positive cycle of the arc graph, and at which n.  A ``NotDecided`` note
+    names its reason: a failed arc check, a cycle of positive weight in the
+    arc graph at the last arc count that gave no witness, or the round
     budget.
     """
 
@@ -436,10 +443,14 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
     found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min v).
     The verdict is Stable with m = 1 if the slack of every arc exceeds its
     rounding margin, so that the star region with radius exp(-(v_i - min
-    v)) on arc i maps into itself, and NotDecided if not.  A cycle of
-    positive weight or an exhausted round budget moves on to the next arc
-    count; after the last one the verdict is NotDecided, and its note names
-    the cycle or budget.
+    v)) on arc i maps into itself, and NotDecided if not.
+
+    A cycle of positive weight is read as a word of sides and tested for an
+    expanding periodic orbit (``_cycle_witness``); one found is returned as
+    an instability witness at once, at either arc count.  Otherwise a cycle
+    or an exhausted round budget moves on to the next arc count; after the
+    last one the verdict is NotDecided, and its note names the cycle or
+    budget.
     """
     if not params.in_sign_regime:
         raise RegimeError("certificate requires delta_L > 0 and delta_R < 0")
@@ -457,6 +468,16 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
     for n in SUB_ACTION_ARCS:
         sa = sub_action(params, n)
         if sa.v is None:
+            witness = None if sa.cycle is None else _cycle_witness(params, sa.cycle, n)
+            if witness is not None:
+                return Ga92Verdict(
+                    CertificateStatus.INSTABILITY_WITNESS,
+                    witness=witness,
+                    note=(
+                        f"periodic ray orbit of period {witness.period} read off the "
+                        f"arc graph's positive cycle at n = {n}"
+                    ),
+                )
             continue
         slack = float(sa.slack.min())
         if not slack > sa.slack_margin:
@@ -474,6 +495,27 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
     else:
         note = f"no sub-action within the round budget at n = {n}"
     return Ga92Verdict(CertificateStatus.NOT_DECIDED, note=note)
+
+
+def _cycle_witness(params: NormalForm2D, cycle: np.ndarray, n: int) -> PeriodicOrbit | None:
+    """The most expanding periodic ray orbit whose itinerary is the word of
+    a cycle of the arc graph on n arcs, or None.
+
+    Arc i is on the right side (R) when i < n / 2.  The word is reduced to
+    its primitive root, and only a root longer than WITNESS_P_MAX, which
+    the Lyndon scan has not tried, and at most CYCLE_WORD_MAX long is
+    tested; its orbit needs lambda above LAMBDA_POS_TOL.
+    """
+    word = (cycle < n // 2).astype(int).tolist()
+    p = len(word)
+    q = next(q for q in range(1, p + 1) if p % q == 0 and word[q:] + word[:q] == word)
+    if not WITNESS_P_MAX < q <= CYCLE_WORD_MAX:
+        return None
+    root = word[:q]
+    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+    orbits = word_orbits(sides, root, rotation_products(sides, root), range(q))
+    witnesses = [o for o in orbits if o.lambda_value > LAMBDA_POS_TOL]
+    return max(witnesses, key=lambda o: o.lambda_value, default=None)
 
 
 def delta_sequence(params: NormalForm2D | PWLMap, n: int) -> list[StarPolygon]:

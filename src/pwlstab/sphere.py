@@ -708,19 +708,88 @@ def _same_angles(a, b) -> bool:
     return all(abs(x - y) <= EPS_ANGLE for x, y in zip(a, b))
 
 
+def rotation_products(sides, word) -> tuple[list[float], ...]:
+    """Columns (ax, ay, bx, by) of the side-matrix product along each
+    rotation of ``word``: entry i for word[i:] + word[:i], as four lists.
+
+    Each product is multiplied out from the identity symbol by symbol, with
+    the same multiplies and adds in the same order as ``_word_products``,
+    all rotations at once.
+    """
+    p = len(word)
+    symbols = np.asarray(word)[(np.arange(p)[:, None] + np.arange(p)) % p]
+    taus = np.array([tau for tau, _ in sides])
+    neg_deltas = np.array([-delta for _, delta in sides])
+    # rows (ax, bx) and (ay, by), one column per rotation
+    x = np.array([np.ones(p), np.zeros(p)])
+    y = np.array([np.zeros(p), np.ones(p)])
+    for k in range(p):
+        s = symbols[:, k]
+        x, y = taus[s] * x + y, neg_deltas[s] * x
+    (ax, bx), (ay, by) = x.tolist(), y.tolist()
+    return ax, ay, bx, by
+
+
+def word_orbits(sides, word, products, rows) -> list[PeriodicOrbit]:
+    """The periodic ray orbits of G with itinerary ``word`` (0 = L, 1 = R).
+
+    ``sides`` holds (tau, delta) of the left and right side.  ``products``
+    holds the columns (ax, ay, bx, by) of side-matrix products as four
+    lists, and entry rows[i] is the product along the word rotated to start
+    at symbol i.  Each positive eigenvalue mu of the word's product gives a
+    candidate: iterate i is the upper eigenray of rotation i for mu, which
+    must lie on the side that symbol i names, up to EPS_ANGLE past the
+    switching ray pi/2.  Each orbit is listed from its smallest angle, with
+    period len(word), which may be a multiple of its minimal period.
+    """
+    p = len(word)
+    r = rows[0]
+    ax_w, ay_w, bx_w, by_w = products
+    ax, ay, bx, by = ax_w[r], ay_w[r], bx_w[r], by_w[r]
+    half_tr = 0.5 * (ax + by)
+    det = ax * by - bx * ay
+    disc = half_tr * half_tr - det
+    if disc < 0.0:
+        return []
+    # det is a product of nonzero deltas, so mu1 != 0; det / mu1 avoids
+    # cancellation in the smaller eigenvalue.
+    mu1 = half_tr + math.copysign(math.sqrt(disc), half_tr)
+    out: list[PeriodicOrbit] = []
+    for mu in {mu1, det / mu1}:
+        if mu <= 0.0:
+            continue
+        thetas: list[float] = []
+        d_vals: list[float] = []
+        for s, r in zip(word, rows):
+            z = _eigenray(ax_w[r], ay_w[r], bx_w[r], by_w[r], mu)
+            # z[0] is the cosine of the angle; both sides own the ray x = 0.
+            if z is None or ((z[0] > EPS_ANGLE) if s == 0 else (z[0] < -EPS_ANGLE)):
+                break
+            a = math.atan2(z[1], z[0])
+            thetas.append(a if a > 0.0 else 0.0)
+            tau, delta = sides[s]
+            d_vals.append(math.hypot(tau * z[0] + z[1], delta * z[0]))
+        else:
+            start = thetas.index(min(thetas))
+            orbit = tuple(thetas[start:] + thetas[:start])
+            lam = sum(math.log(d) for d in d_vals) / p
+            out.append(PeriodicOrbit(orbit, p, lam, math.prod(d_vals)))
+    return out
+
+
 def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbit]:
     """Find all isolated periodic orbits of the circle map with period <= p_max.
 
     A periodic ray orbit with itinerary w (the side, L or R, of each iterate)
     is a positive real eigenvector of the product of side matrices along w
     whose orbit lies on the sides w names.  The binary Lyndon words of
-    length <= p_max, one per cyclic class of itineraries, are enumerated.
-    Each iterate is the eigenvector of the product along the word rotated to
-    start there: following the orbit forward would amplify rounding along
-    orbits that repel on the circle.  The products of all words of length
-    <= p_max are built once per call (``_word_products``), so each word and
-    each rotation is one table lookup; the table has 2^(p_max + 1) - 1
-    entries.
+    length <= p_max, one per cyclic class of itineraries, are enumerated,
+    and each goes through ``word_orbits``.  Each iterate is the eigenvector
+    of the product along the word rotated to start there: following the
+    orbit forward would amplify rounding along orbits that repel on the
+    circle.  The products of all words of length <= p_max are built once
+    per call (``_word_products``), so each word and each rotation is one
+    table lookup; the table has 2^(p_max + 1) - 1 entries.
 
     A ray within EPS_ANGLE of the switching ray pi/2 may take either symbol,
     so one orbit can match several words, and a word can trace an orbit of
@@ -732,46 +801,20 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-    ax_w, ay_w, bx_w, by_w = _word_products(sides, p_max)
+    products = _word_products(sides, p_max)
     out: list[PeriodicOrbit] = []
     listed: dict[int, list[tuple[float, ...]]] = {}  # orbit angles by period
     for word, rows in _lyndon_rotations(p_max):
         p = len(word)
-        r = rows[0]
-        ax, ay, bx, by = ax_w[r], ay_w[r], bx_w[r], by_w[r]
-        half_tr = 0.5 * (ax + by)
-        det = ax * by - bx * ay
-        disc = half_tr * half_tr - det
-        if disc < 0.0:
-            continue
-        # det is a product of nonzero deltas, so mu1 != 0; det / mu1 avoids
-        # cancellation in the smaller eigenvalue.
-        mu1 = half_tr + math.copysign(math.sqrt(disc), half_tr)
-        for mu in {mu1, det / mu1}:
-            if mu <= 0.0:
+        for orbit in word_orbits(sides, word, products, rows):
+            thetas = orbit.thetas
+            if any(p % q == 0 and _same_angles(thetas, thetas[q:] + thetas[:q])
+                   for q in range(1, p)):
+                continue  # a shorter word traces this orbit
+            same_period = listed.setdefault(p, [])
+            if any(_same_angles(t, thetas) for t in same_period):
                 continue
-            thetas: list[float] = []
-            d_vals: list[float] = []
-            for s, r in zip(word, rows):
-                z = _eigenray(ax_w[r], ay_w[r], bx_w[r], by_w[r], mu)
-                # z[0] is the cosine of the angle; both sides own the ray x = 0.
-                if z is None or ((z[0] > EPS_ANGLE) if s == 0 else (z[0] < -EPS_ANGLE)):
-                    break
-                a = math.atan2(z[1], z[0])
-                thetas.append(a if a > 0.0 else 0.0)
-                tau, delta = sides[s]
-                d_vals.append(math.hypot(tau * z[0] + z[1], delta * z[0]))
-            else:
-                start = thetas.index(min(thetas))
-                orbit = tuple(thetas[start:] + thetas[:start])
-                if any(p % q == 0 and _same_angles(orbit, orbit[q:] + orbit[:q])
-                       for q in range(1, p)):
-                    continue  # a shorter word traces this orbit
-                same_period = listed.setdefault(p, [])
-                if any(_same_angles(t, orbit) for t in same_period):
-                    continue
-                same_period.append(orbit)
-                lam = sum(math.log(d) for d in d_vals) / p
-                out.append(PeriodicOrbit(orbit, p, lam, math.prod(d_vals)))
+            same_period.append(thetas)
+            out.append(orbit)
     out.sort(key=lambda o: (o.period, o.thetas[0]))
     return out

@@ -5,6 +5,7 @@ invariants."""
 import functools
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pwlstab import (
     delta_sequence,
     ga92,
     image_polygon,
+    periodic_orbits_G,
     polygons,
     rho_sampled,
     sub_action,
@@ -35,6 +37,57 @@ from conftest import (
     PT_UNSTABLE,
 )
 from regions import certified_region
+
+# A cell of the 16x8 acceptance plane that ga92 leaves NotDecided: its arc
+# graph ends at a positive cycle at n = 8192 whose word is too long to test.
+PT_UNDECIDED = (0.4666666666666667, 1.4, -2.0, -1.2)
+
+
+def plane_verdicts():
+    """(params, verdict) at the 88 in-regime cells of the 16x8 acceptance
+    plane, row-major with tau_L outer."""
+    out = []
+    for tl in np.linspace(0.0, 3.5, 16):
+        for tr in np.linspace(-2.0, 1.0, 8):
+            params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
+            if params.tau_L < params.left_spiral_bound:
+                out.append((params, ga92(params)))
+    return out
+
+
+def cycle_root(params, n):
+    """The primitive root of the side word (1 = R, arc i < n / 2) of the
+    positive cycle at which sub_action(params, n) ends."""
+    sa = sub_action(params, n)
+    word = [1 if i < n // 2 else 0 for i in sa.cycle]
+    q = min(q for q in range(1, len(word) + 1) if word == word[q:] + word[:q])
+    return word[:q]
+
+
+def assert_forward_orbit(params, orbit, word):
+    # walk the orbit forward with the map's own step from its first angle:
+    # each side is the word's symbol (up to a rotation of the word; a point
+    # on the switching ray may take either side), each image lands within
+    # 1e-7 of the next listed angle, the stretches multiply to the
+    # multiplier and their mean log is positive
+    p = orbit.period
+    assert len(word) == p
+    th = orbit.thetas
+    x, y = math.cos(th[0]), math.sin(th[0])
+    sides, stretch = [], []
+    for i in range(p):
+        sides.append((1 if x > 0.0 else 0) if abs(x) > 1e-9 else None)
+        x, y = params.step_scalar(x, y)
+        d = math.hypot(x, y)
+        stretch.append(d)
+        x, y = x / d, y / d
+        assert abs(math.atan2(y, x) - th[(i + 1) % p]) <= 1e-7
+    assert any(
+        all(s is None or s == c for s, c in zip(sides, word[k:] + word[:k])) for k in range(p)
+    )
+    assert math.prod(stretch) == pytest.approx(orbit.multiplier, rel=1e-9)
+    assert orbit.lambda_value == pytest.approx(math.log(orbit.multiplier) / p, rel=1e-9)
+    assert orbit.lambda_value > 0.0
 
 
 class TestVerdicts:
@@ -65,7 +118,7 @@ class TestVerdicts:
         assert v.m <= 3
 
     def test_not_decided_within_budget(self):
-        v = ga92(NormalForm2D(2.3, 1.4, -1.9, -1.2))
+        v = ga92(NormalForm2D(*PT_UNDECIDED))
         assert v.status is CertificateStatus.NOT_DECIDED
         assert v.m is None and v.k is None
         assert "cycle of positive weight" in v.note
@@ -127,8 +180,31 @@ class TestVerdicts:
             "sub-action at n = 2048 after 5 rounds: "
             "|g^t x| <= C*exp(-1e-06*t)*|x| with C = 4.36269"
         )
+        v = ga92(NormalForm2D(*PT_UNDECIDED))
+        assert v.note == "arc graph at n = 8192 has a cycle of positive weight over 109 arcs"
         v = ga92(NormalForm2D(2.3, 1.4, -1.9, -1.2))
-        assert v.note == "arc graph at n = 8192 has a cycle of positive weight over 39 arcs"
+        assert v.note == (
+            "periodic ray orbit of period 26 read off the arc graph's positive cycle at n = 2048"
+        )
+
+    def test_witness_read_off_a_positive_cycle(self):
+        # no expanding orbit of period <= 8, but the positive cycle at
+        # n = 2048 runs the word R R L^12 R L^11, whose orbit expands
+        params = NormalForm2D(2.3, 1.4, -1.9, -1.2)
+        assert all(o.lambda_value <= 0.0 for o in periodic_orbits_G(params, p_max=8))
+        v = ga92(params)
+        assert v.status is CertificateStatus.INSTABILITY_WITNESS
+        assert v.witness.period == 26
+        assert v.witness.lambda_value == pytest.approx(0.13544, abs=1e-5)
+        assert_forward_orbit(params, v.witness, cycle_root(params, 2048))
+
+    def test_stable_note_shows_the_run_eta(self, monkeypatch):
+        monkeypatch.setattr(arcs, "SUB_ACTION_ETA", 1e-5)
+        params = NormalForm2D(*PT_STABLE)
+        assert sub_action(params, 2048).eta == 1e-5
+        v = ga92(params)
+        assert v.status is CertificateStatus.STABLE
+        assert "C*exp(-1e-05*t)" in v.note
 
     def test_budget_note_without_the_cycle_search(self, monkeypatch):
         monkeypatch.setattr(arcs, "CYCLE_CHECK_EVERY", arcs.SUB_ACTION_ROUNDS + 1)
@@ -173,19 +249,28 @@ class TestVerdicts:
 class TestAcceptancePlane:
     def test_outcomes_pinned(self):
         # (status, m, k) over the 88 in-regime cells of the 16x8 acceptance
-        # plane, row-major with tau_L outer: 65 witness, 17 Stable and 6
-        # NotDecided cells.  A geometry change that flips any verdict, m or
-        # k changes this digest.
-        out = []
-        for tl in np.linspace(0.0, 3.5, 16):
-            for tr in np.linspace(-2.0, 1.0, 8):
-                params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
-                if params.tau_L < params.left_spiral_bound:
-                    v = ga92(params)
-                    out.append((v.status.value, v.m, v.k))
+        # plane, row-major with tau_L outer: 68 witness (3 of them read off
+        # a positive cycle of the arc graph), 17 Stable and 3 NotDecided
+        # cells.  A change that flips any verdict, m or k changes this digest.
+        out = [(v.status.value, v.m, v.k) for _, v in plane_verdicts()]
         assert len(out) == 88
+        counts = Counter(status for status, _, _ in out)
+        assert counts == {"InstabilityWitness": 68, "Stable": 17, "NotDecided": 3}
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
-        assert digest == "74b53b912c8e1594f20c26c52cf3eaf2999de78ea3ac4d4315cba7a0facdb84e"
+        assert digest == "359318cb80e3e2f1836aeba57fd7e525ed844ba685d20dd5e5b411fbdf93a0b2"
+
+    def test_cycle_witnesses_recheck(self):
+        # every witness read off a positive cycle, re-checked by a forward
+        # orbit of the map itself: its sides follow the cycle's word, it
+        # closes, its multiplier is the product of the stretches and it
+        # expands
+        periods = []
+        for params, v in plane_verdicts():
+            if "positive cycle" in v.note and v.witness is not None:
+                n = int(v.note.rsplit("n = ", 1)[1])
+                assert_forward_orbit(params, v.witness, cycle_root(params, n))
+                periods.append(v.witness.period)
+        assert sorted(periods) == [10, 13, 14]
 
     def test_decision_path_uses_no_polygon_images(self, monkeypatch):
         # the arc check alone decides: with the polygon layer disabled, the
@@ -202,17 +287,13 @@ class TestAcceptancePlane:
         # layer, an oracle independent of the arc check, and the residual
         # is the smallest arc slack, negated
         protrusions = []
-        for tl in np.linspace(0.0, 3.5, 16):
-            for tr in np.linspace(-2.0, 1.0, 8):
-                params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
-                if params.tau_L < params.left_spiral_bound:
-                    v = ga92(params)
-                    if v.status is CertificateStatus.STABLE:
-                        omega = certified_region(params, v)
-                        protrusions.append(containment_protrusion(omega, image_polygon(params, omega)))
-                        assert v.note.startswith("sub-action at n = 2048 ")
-                        slack = sub_action(params, 2048).slack
-                        assert v.containment_residuals == (-slack.min(),)
+        for params, v in plane_verdicts():
+            if v.status is CertificateStatus.STABLE:
+                omega = certified_region(params, v)
+                protrusions.append(containment_protrusion(omega, image_polygon(params, omega)))
+                assert v.note.startswith("sub-action at n = 2048 ")
+                slack = sub_action(params, 2048).slack
+                assert v.containment_residuals == (-slack.min(),)
         assert len(protrusions) == 17
         assert max(protrusions) < 0.0
 
@@ -285,7 +366,7 @@ class TestVerdictInvariants:
         # a scaled copy maps into itself too
         cases = [
             (PT_STABLE, CertificateStatus.STABLE),
-            ((2.3, 1.4, -1.9, -1.2), CertificateStatus.NOT_DECIDED),
+            (PT_UNDECIDED, CertificateStatus.NOT_DECIDED),
         ]
         for pt, status in cases:
             params = NormalForm2D(*pt)

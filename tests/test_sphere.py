@@ -47,13 +47,14 @@ from pwlstab import (
     sphere_eval,
     sub_action,
 )
-from pwlstab.arcs import SUB_ACTION_ROUNDS
+from pwlstab.arcs import CYCLE_CHECK_EVERY, SUB_ACTION_ROUNDS
 from pwlstab.sphere import (
     BLOCK_MEMO_MAX,
     N_BATCHES,
     _block_length,
     _lyndon_rotations,
     _word_products,
+    rotation_products,
 )
 
 # Started at u(0.5), its 7th block of 16 steps starts from the float state
@@ -61,7 +62,10 @@ from pwlstab.sphere import (
 PT_CYCLING = (1.479, 0.35, -0.1, -1.5)
 # Block length 1 (one step may stretch by 1e7) and no float state repeats.
 PT_BLOCK_1 = (1.0, 1e7, 2.0, -1e7)
-# The cells of the 16x8 acceptance plane that ga92 leaves NotDecided.
+# The cells of the 16x8 acceptance plane where the witness scan finds no
+# expanding orbit of period <= 8 and the arc graph ends at a positive cycle
+# at both arc counts.  ga92 reads a witness off the cycle at three of them
+# and leaves the other three NotDecided.
 UNDECIDED_CELLS = [
     (0.4666666666666667, 1.4, -2.0, -1.2),
     (0.9333333333333333, 1.4, -1.1428571428571428, -1.2),
@@ -610,6 +614,10 @@ class TestPeriodicOrbits:
                 assert (ax[r], ay[r], bx[r], by[r]) == (m[0][0], m[1][0], m[0][1], m[1][1])
         for word, rows in _lyndon_rotations(8):
             assert rows == tuple(row(word[i:] + word[:i]) for i in range(len(word)))
+            # the products of a cycle word's rotations, built all at once,
+            # equal the table's entries bit for bit
+            got = rotation_products(sides, word)
+            assert got == tuple([col[r] for r in rows] for col in (ax, ay, bx, by))
 
     def test_orbit_on_steep_branch_is_found(self):
         # G^6 is too steep near this orbit for a sampling grid to see it cross
@@ -619,6 +627,43 @@ class TestPeriodicOrbits:
         hit = [o for o in p6 if abs(o.thetas[0] - 1.129603) < 1e-6]
         assert len(hit) == 1
         assert hit[0].lambda_value == pytest.approx(-1.4037, abs=1e-4)
+
+
+def pointer_doubling_cycle(table, level, lo, tail, base):
+    """The cycle search as first written: pointer doubling carries the
+    smallest arc passed through every arc, and the cycle sums run over all
+    n arcs.  The reference for ``arcs._positive_cycle``."""
+    vals = table[0]
+    n = vals.size
+    idx = np.empty(table.shape, dtype=np.int32)
+    idx[:, :] = np.arange(n, dtype=np.int32)
+    for k in range(1, table.shape[0]):
+        span = 1 << (k - 1)
+        left_wins = table[k - 1, :-span] >= table[k - 1, span:]
+        idx[k, :-span] = np.where(left_wins, idx[k - 1, :-span], idx[k - 1, span:])
+    first, second = idx[level, lo], idx[level, tail]
+    policy = np.where(vals[first] >= vals[second], first, second)
+
+    jump, low = policy, np.arange(n, dtype=np.int32)
+    for _ in range(max(n - 1, 1).bit_length()):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jump] = True
+    label = low[on_cycle]
+    length = np.bincount(label, minlength=n)
+    total = np.bincount(label, base[on_cycle], minlength=n)
+    scale = np.bincount(label, np.abs(base[on_cycle]), minlength=n)
+    margin = 2.0**-52 * length * (scale + arcs.SUB_ACTION_ROUNDS * max(float(base.max()), 0.0))
+    excess = np.where(length > 0, total - margin, -np.inf)
+    best = int(np.argmax(excess))
+    if not excess[best] > 0.0:
+        return None
+    cycle = np.empty(length[best], dtype=np.intp)
+    cycle[0] = best
+    for t in range(1, cycle.size):
+        cycle[t] = policy[cycle[t - 1]]
+    return cycle
 
 
 def assert_positive_cycle(sa):
@@ -681,6 +726,52 @@ class TestSubAction:
         sa = sub_action(NormalForm2D(*pt), n_arcs)
         assert_positive_cycle(sa)
         assert sa.rounds < SUB_ACTION_ROUNDS
+
+    def test_cycle_search_matches_pointer_doubling(self, monkeypatch):
+        # the cycle search labels only the arcs on policy cycles; against
+        # the search that carried every arc through the doubling, it gives
+        # the same cycle (or none) at every call, so every run stops at the
+        # same round with the same v or cycle
+        runs = []
+        for tl in np.linspace(0.0, 3.5, 16):
+            for tr in np.linspace(-2.0, 1.0, 8):
+                params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
+                if params.tau_L < params.left_spiral_bound:
+                    runs += [(params, 2048), (params, 8192)]
+        runs += [(NormalForm2D(*PT_UNSTABLE), 512), (NormalForm2D(*PT_UNSTABLE), 2048)]
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            tl, tr = rng.uniform(-3.0, 3.0, 2)
+            dl, dr = rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)
+            runs.append((NormalForm2D(tl, dl, tr, dr), 2048))
+
+        calls = []
+        search = arcs._positive_cycle
+
+        def both(*args):
+            got, want = search(*args), pointer_doubling_cycle(*args)
+            assert (got is None and want is None) or np.array_equal(got, want)
+            calls.append(got is not None)
+            return got
+
+        compared = 0
+        for params, n in runs:
+            sa = sub_action(params, n)
+            if sa.v is not None and sa.rounds < CYCLE_CHECK_EVERY:
+                continue  # converged before the first search
+            compared += 1
+            with monkeypatch.context() as m:
+                m.setattr(arcs, "_positive_cycle", pointer_doubling_cycle)
+                ref = sub_action(params, n)
+            assert sa.rounds == ref.rounds
+            assert (sa.v is None) == (ref.v is None)
+            assert sa.v is None or np.array_equal(sa.v, ref.v)
+            assert (sa.cycle is None) == (ref.cycle is None)
+            assert sa.cycle is None or np.array_equal(sa.cycle, ref.cycle)
+            with monkeypatch.context() as m:
+                m.setattr(arcs, "_positive_cycle", both)
+                sub_action(params, n)
+        assert compared > 100 and sum(calls) > 100 and not all(calls)
 
     def test_runs_out_of_rounds_without_the_cycle_search(self, monkeypatch):
         monkeypatch.setattr(arcs, "CYCLE_CHECK_EVERY", SUB_ACTION_ROUNDS + 1)
