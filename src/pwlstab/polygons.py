@@ -34,7 +34,9 @@ import numpy as np
 from .errors import DegenerateImageError, RegimeError
 from .arcs import sub_action
 from .maps import HALF_PI, NormalForm2D, PWLMap
-from .sphere import PeriodicOrbit, periodic_orbits_G, rotation_products, word_orbits
+from .sphere import (
+    PeriodicOrbit, eigenvalue_floor, periodic_orbits_G, rotation_products, word_orbits,
+)
 
 EPS_GEOM = 1e-9
 ANGLE_TOL = 1e-12
@@ -438,7 +440,13 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
 
     Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
     searches the periodic ray orbits of period <= WITNESS_P_MAX for an
-    instability witness.  Otherwise it tries a sub-action of the arc graph
+    instability witness, the one with the largest lambda above
+    LAMBDA_POS_TOL.  The scan builds no orbit for a word of length p whose
+    eigenvalue mu is at most exp(p * LAMBDA_POS_TOL) less 1e-3 of itself
+    (``sphere.eigenvalue_floor``): that orbit's lambda is ln(mu) / p up to
+    the rounding of its eigenrays, at most 4.3e-6 relative in mu as
+    measured, so it cannot exceed LAMBDA_POS_TOL and could never be the
+    witness.  Otherwise it tries a sub-action of the arc graph
     of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first one
     found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min v).
     The verdict is Stable with m = 1 if the slack of every arc exceeds its
@@ -456,7 +464,7 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
         raise RegimeError("certificate requires delta_L > 0 and delta_R < 0")
     if not params.in_certificate_regime:
         raise RegimeError("certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)")
-    orbits = periodic_orbits_G(params, p_max=WITNESS_P_MAX)
+    orbits = periodic_orbits_G(params, p_max=WITNESS_P_MAX, lambda_min=LAMBDA_POS_TOL)
     witnesses = [o for o in orbits if o.lambda_value > LAMBDA_POS_TOL]
     if witnesses:
         return Ga92Verdict(
@@ -504,7 +512,8 @@ def _cycle_witness(params: NormalForm2D, cycle: np.ndarray, n: int) -> PeriodicO
     Arc i is on the right side (R) when i < n / 2.  The word is reduced to
     its primitive root, and only a root longer than WITNESS_P_MAX, which
     the Lyndon scan has not tried, and at most CYCLE_WORD_MAX long is
-    tested; its orbit needs lambda above LAMBDA_POS_TOL.
+    tested; its orbit needs lambda above LAMBDA_POS_TOL, and eigenvalues
+    that cannot give one are skipped by the same floor as the Lyndon scan.
     """
     word = (cycle < n // 2).astype(int).tolist()
     p = len(word)
@@ -513,7 +522,10 @@ def _cycle_witness(params: NormalForm2D, cycle: np.ndarray, n: int) -> PeriodicO
         return None
     root = word[:q]
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-    orbits = word_orbits(sides, root, rotation_products(sides, root), range(q))
+    orbits = word_orbits(
+        sides, root, rotation_products(sides, root), range(q),
+        eigenvalue_floor(q, LAMBDA_POS_TOL),
+    )
     witnesses = [o for o in orbits if o.lambda_value > LAMBDA_POS_TOL]
     return max(witnesses, key=lambda o: o.lambda_value, default=None)
 

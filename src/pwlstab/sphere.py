@@ -730,17 +730,40 @@ def rotation_products(sides, word) -> tuple[list[float], ...]:
     return ax, ay, bx, by
 
 
-def word_orbits(sides, word, products, rows) -> list[PeriodicOrbit]:
+# Relative slack of ``eigenvalue_floor`` below exp(p * lambda_min): an
+# orbit's multiplier equals its eigenvalue only up to the rounding of its
+# eigenrays, by at most 4.3e-6 relative over 59 511 measured orbits.
+MU_FLOOR_SLACK = 1e-3
+
+
+def eigenvalue_floor(p: int, lambda_min: float) -> float:
+    """The floor ``word_orbits`` takes for a word of length p when only
+    orbits with lambda above lambda_min are wanted: exp(p * lambda_min)
+    less MU_FLOOR_SLACK of itself (inf where that overflows)."""
+    try:
+        return math.exp(p * lambda_min) * (1.0 - MU_FLOOR_SLACK)
+    except OverflowError:
+        return math.inf
+
+
+def word_orbits(sides, word, products, rows, mu_min: float = 0.0) -> list[PeriodicOrbit]:
     """The periodic ray orbits of G with itinerary ``word`` (0 = L, 1 = R).
 
     ``sides`` holds (tau, delta) of the left and right side.  ``products``
     holds the columns (ax, ay, bx, by) of side-matrix products as four
     lists, and entry rows[i] is the product along the word rotated to start
-    at symbol i.  Each positive eigenvalue mu of the word's product gives a
-    candidate: iterate i is the upper eigenray of rotation i for mu, which
-    must lie on the side that symbol i names, up to EPS_ANGLE past the
+    at symbol i.  Each eigenvalue mu of the word's product above ``mu_min``
+    gives a candidate: iterate i is the upper eigenray of rotation i for mu,
+    which must lie on the side that symbol i names, up to EPS_ANGLE past the
     switching ray pi/2.  Each orbit is listed from its smallest angle, with
     period len(word), which may be a multiple of its minimal period.
+
+    An orbit's multiplier, the product of its D values, is mu up to the
+    rounding of its eigenrays, so its lambda is ln(mu) / len(word).  The
+    default floor 0 skips only the non-positive eigenvalues, which give no
+    ray orbit; a floor from ``eigenvalue_floor`` also skips every mu whose
+    orbit cannot have lambda above a given bound, before any eigenray is
+    built.
     """
     p = len(word)
     r = rows[0]
@@ -756,7 +779,7 @@ def word_orbits(sides, word, products, rows) -> list[PeriodicOrbit]:
     mu1 = half_tr + math.copysign(math.sqrt(disc), half_tr)
     out: list[PeriodicOrbit] = []
     for mu in {mu1, det / mu1}:
-        if mu <= 0.0:
+        if mu <= mu_min:
             continue
         thetas: list[float] = []
         d_vals: list[float] = []
@@ -777,8 +800,10 @@ def word_orbits(sides, word, products, rows) -> list[PeriodicOrbit]:
     return out
 
 
-def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbit]:
-    """Find all isolated periodic orbits of the circle map with period <= p_max.
+def periodic_orbits_G(
+    params: NormalForm2D, p_max: int = 6, lambda_min: float | None = None
+) -> list[PeriodicOrbit]:
+    """Find the isolated periodic orbits of the circle map with period <= p_max.
 
     A periodic ray orbit with itinerary w (the side, L or R, of each iterate)
     is a positive real eigenvector of the product of side matrices along w
@@ -796,17 +821,30 @@ def periodic_orbits_G(params: NormalForm2D, p_max: int = 6) -> list[PeriodicOrbi
     smaller period; each orbit is reported once, at its minimal period.
     Words whose product is a multiple of the identity are skipped: their
     orbits form a continuum, not isolated orbits.
+
+    With ``lambda_min`` None every orbit is listed.  With a value, a word of
+    length p skips each eigenvalue at or below ``eigenvalue_floor(p,
+    lambda_min)``, so the list keeps every orbit with lambda above
+    lambda_min, and may keep some just below it, which the caller filters.
+    The floor sits MU_FLOOR_SLACK (1e-3) below exp(p * lambda_min) because
+    an orbit's multiplier matches mu only up to the rounding of its
+    eigenrays: the worst relative gap measured over 59 511 orbits was
+    4.3e-6, near a fixed ray.  The slack covers the dedup too: an orbit
+    listed twice has the same angles within EPS_ANGLE, hence the same D
+    values and nearly the same mu, so its twins are kept or skipped alike.
     """
     _require_sign_regime(params)
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
     products = _word_products(sides, p_max)
+    floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
+              for p in range(p_max + 1)]
     out: list[PeriodicOrbit] = []
     listed: dict[int, list[tuple[float, ...]]] = {}  # orbit angles by period
     for word, rows in _lyndon_rotations(p_max):
         p = len(word)
-        for orbit in word_orbits(sides, word, products, rows):
+        for orbit in word_orbits(sides, word, products, rows, floors[p]):
             thetas = orbit.thetas
             if any(p % q == 0 and _same_angles(thetas, thetas[q:] + thetas[:q])
                    for q in range(1, p)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,18 +57,31 @@ class GridSpec:
         if not (self.delta_L > 0.0 > self.delta_R):
             raise ValueError("sweeps require delta_L > 0 > delta_R")
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tau_L and tau_R axis values, built once per grid; read-only."""
+        axes = (
+            np.linspace(self.tau_L_range[0], self.tau_L_range[1], self.nx),
+            np.linspace(self.tau_R_range[0], self.tau_R_range[1], self.ny),
+        )
+        for axis in axes:
+            axis.flags.writeable = False
+        return axes
+
+    def __getstate__(self) -> dict:
+        # a worker rebuilds the axes read-only; unpickled arrays are writeable
+        return {k: v for k, v in self.__dict__.items() if k != "_axes"}
+
     def tau_L_values(self) -> np.ndarray:
-        return np.linspace(self.tau_L_range[0], self.tau_L_range[1], self.nx)
+        return self._axes[0]
 
     def tau_R_values(self) -> np.ndarray:
-        return np.linspace(self.tau_R_range[0], self.tau_R_range[1], self.ny)
+        return self._axes[1]
 
     def params(self, i: int, j: int) -> NormalForm2D:
         """The map at cell (i, j): tau_L index i, tau_R index j."""
-        return NormalForm2D(
-            float(self.tau_L_values()[i]), self.delta_L,
-            float(self.tau_R_values()[j]), self.delta_R,
-        )
+        tau_L, tau_R = self._axes
+        return NormalForm2D(float(tau_L[i]), self.delta_L, float(tau_R[j]), self.delta_R)
 
 
 class GridMode(Enum):

@@ -24,6 +24,7 @@ from pwlstab import (
     periodic_orbits_G,
     polygons,
     rho_sampled,
+    sphere,
     sub_action,
     union_star,
 )
@@ -116,6 +117,23 @@ class TestVerdicts:
         v = ga92(NormalForm2D(*PT_CONTRACT))
         assert v.status is CertificateStatus.STABLE
         assert v.m <= 3
+
+    def test_scan_builds_no_orbit_that_cannot_expand(self, monkeypatch):
+        # the witness scan skips every eigenvalue whose orbit cannot have
+        # lambda above LAMBDA_POS_TOL before building an eigenray; the full
+        # scan builds 256 eigenrays at PT_CONTRACT and 428 at PT_STABLE
+        calls = []
+        eigenray = sphere._eigenray
+
+        def counted(*args):
+            calls.append(args)
+            return eigenray(*args)
+
+        monkeypatch.setattr(sphere, "_eigenray", counted)
+        assert ga92(NormalForm2D(*PT_CONTRACT)).status is CertificateStatus.STABLE
+        assert len(calls) == 0
+        assert ga92(NormalForm2D(*PT_STABLE)).status is CertificateStatus.STABLE
+        assert 0 < len(calls) <= 131
 
     def test_not_decided_within_budget(self):
         v = ga92(NormalForm2D(*PT_UNDECIDED))

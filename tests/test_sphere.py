@@ -48,13 +48,16 @@ from pwlstab import (
     sub_action,
 )
 from pwlstab.arcs import CYCLE_CHECK_EVERY, SUB_ACTION_ROUNDS
+from pwlstab.polygons import LAMBDA_POS_TOL
 from pwlstab.sphere import (
     BLOCK_MEMO_MAX,
+    MU_FLOOR_SLACK,
     N_BATCHES,
     _block_length,
     _lyndon_rotations,
     _word_products,
     rotation_products,
+    word_orbits,
 )
 
 # Started at u(0.5), its 7th block of 16 steps starts from the float state
@@ -74,6 +77,13 @@ UNDECIDED_CELLS = [
     (2.3333333333333335, 1.4, -1.5714285714285714, -1.2),
     (2.3333333333333335, 1.4, -1.1428571428571428, -1.2),
 ]
+
+
+# Near a fixed ray: the orbit of L R^7 has the largest measured gap between
+# its multiplier and its word's eigenvalue, 4.3e-6 relative.
+PT_ILL_CONDITIONED = (
+    0.6404717297751334, 1.2009115042619274, -2.9441373850425046, -0.20118191848618605,
+)
 
 
 def u(theta: float) -> np.ndarray:
@@ -618,6 +628,50 @@ class TestPeriodicOrbits:
             # equal the table's entries bit for bit
             got = rotation_products(sides, word)
             assert got == tuple([col[r] for r in rows] for col in (ax, ay, bx, by))
+
+    def test_floored_scan_keeps_every_expanding_orbit(self):
+        # the 16x8 acceptance plane, wide draws with tau_L < 0 too, and the
+        # point where multiplier and eigenvalue differ most
+        points = [
+            (float(tl), 1.4, float(tr), -1.2)
+            for tl in np.linspace(0.0, 3.5, 16)
+            for tr in np.linspace(-2.0, 1.0, 8)
+        ]
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            points.append((rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0),
+                           rng.uniform(-4.0, 4.0), rng.uniform(-3.0, -0.05)))
+        points.append(PT_ILL_CONDITIONED)
+        expanding = 0
+        for pt in points:
+            params = NormalForm2D(*pt)
+            full = [o for o in periodic_orbits_G(params, p_max=8)
+                    if o.lambda_value > LAMBDA_POS_TOL]
+            floored = periodic_orbits_G(params, p_max=8, lambda_min=LAMBDA_POS_TOL)
+            kept = [o for o in floored if o.lambda_value > LAMBDA_POS_TOL]
+            assert repr(kept) == repr(full), pt
+            expanding += len(full)
+        assert expanding > 3000
+
+    def test_multiplier_matches_eigenvalue(self):
+        # every orbit's multiplier is its word's eigenvalue to well within
+        # the floor's slack, worst case included
+        params = NormalForm2D(*PT_ILL_CONDITIONED)
+        sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+        products = _word_products(sides, 8)
+        gaps = []
+        for word, rows in _lyndon_rotations(8):
+            ax, ay, bx, by = (col[rows[0]] for col in products)
+            half_tr, det = 0.5 * (ax + by), ax * by - bx * ay
+            if half_tr * half_tr < det:
+                continue
+            # the eigenvalues as word_orbits compares them with its floor
+            mu1 = half_tr + math.copysign(math.sqrt(half_tr * half_tr - det), half_tr)
+            mus = [m for m in (mu1, det / mu1) if m > 0.0]
+            for orbit in word_orbits(sides, word, products, rows):
+                gaps.append(min(abs(orbit.multiplier / mu - 1.0) for mu in mus))
+        assert len(gaps) == 18
+        assert 1e-6 < max(gaps) <= MU_FLOOR_SLACK / 100
 
     def test_orbit_on_steep_branch_is_found(self):
         # G^6 is too steep near this orbit for a sampling grid to see it cross
