@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,11 +74,13 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     index range.
 
     Jacobi Bellman-Ford, v <- max(0, w + eta + max(v[lo .. hi])) from v = 0,
-    with the range maxima read from a sparse table, stops when v repeats
-    exactly, after at most SUB_ACTION_ROUNDS rounds.  A fixed point exists
-    exactly when no cycle of the arc graph has a mean weight above -eta,
-    which bounds the integral of ln D by -eta for every invariant measure
-    of G (ergodic optimisation on the symbolic image of G).
+    stops when v repeats exactly, after at most SUB_ACTION_ROUNDS rounds.
+    Each round reads the range maxima from a sparse table at flat indices
+    planned once per graph, into buffers that every round reuses; the edges
+    and their unit rays come from a per-n cache (``_arc_rays``).  A fixed
+    point exists exactly when no cycle of the arc graph has a mean weight
+    above -eta, which bounds the integral of ln D by -eta for every
+    invariant measure of G (ergodic optimisation on the symbolic image of G).
 
     Every CYCLE_CHECK_EVERY rounds the run also looks for the converse: a
     cycle of positive weight in the graph that sends each arc to a
@@ -106,11 +109,10 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     if n_arcs < 2 or n_arcs % 2:
         raise ValueError("n_arcs must be even and at least 2")
     half = n_arcs // 2
-    edges = np.arange(n_arcs + 1) * (math.pi / n_arcs)
-    edges[half] = HALF_PI
+    edges, c, s = _arc_rays(n_arcs)
     # The two sides agree at the edge pi/2, so one image per edge serves the
     # arcs on both sides of it.
-    x, y = params.ray_image(edges)
+    x, y = params.step(c, s)
     image = np.arctan2(y, x)
     d2 = x * x + y * y
 
@@ -131,21 +133,23 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     lo = np.searchsorted(edges[1:], cone_lo, "left")
     hi = np.searchsorted(edges[:-1], cone_hi, "right") - 1
 
-    # Range maximum of [lo, hi] as the larger of two overlapping windows of
-    # 2^k arcs, read from level k of the sparse table.
+    # Range maximum of [lo, hi] as the larger of two overlapping windows of 2^k arcs, read
+    # from level k of the sparse table at flat indices (in range, so "clip" clips nothing).
     level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
     tail = hi - (1 << level) + 1
     table = np.full((int(level.max()) + 1, n_arcs), -np.inf)
+    flat, first, second = table.reshape(-1), level * n_arcs + lo, level * n_arcs + tail
     eta = SUB_ACTION_ETA
     base = w + eta
-    v = np.zeros(n_arcs)
+    v, new, top = np.zeros(n_arcs), np.empty(n_arcs), np.empty(n_arcs)
     for rounds in range(1, SUB_ACTION_ROUNDS + 1):
         table[0] = v
         for k in range(1, table.shape[0]):
             span = 1 << (k - 1)
             np.maximum(table[k - 1, :-span], table[k - 1, span:], out=table[k, :-span])
-        top = np.maximum(table[level, lo], table[level, tail])
-        new = np.maximum(0.0, base + top)
+        flat.take(first, out=top, mode="clip")
+        np.maximum(top, flat.take(second, out=new, mode="clip"), out=top)
+        np.maximum(0.0, np.add(base, top, out=new), out=new)
         if np.array_equal(new, v):
             slack = math.log(math.cos(math.pi / (2 * n_arcs))) - (w + top - v)
             t = max(abs(params.tau_L), abs(params.tau_R))
@@ -155,21 +159,33 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
             cycle = _positive_cycle(table, level, lo, tail, base)
             if cycle is not None:
                 return SubAction(edges, w, lo, hi, None, rounds, eta, cycle)
-        v = new
+        v, new = new, v
     return SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS, eta)
+
+
+@lru_cache(maxsize=4)
+def _arc_rays(n_arcs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n_arcs + 1 edges of equal arcs of [0, pi), pi/2 exact, and the
+    ``NormalForm2D.unit_ray`` of each: built once per n_arcs, read-only."""
+    edges = np.arange(n_arcs + 1) * (math.pi / n_arcs)
+    edges[n_arcs // 2] = HALF_PI
+    rays = (edges, *NormalForm2D.unit_ray(edges))
+    for a in rays:
+        a.flags.writeable = False
+    return rays
 
 
 def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
     """A cycle of positive weight in the policy graph of the v in table[0].
 
     The policy sends arc i to an arc of lo[i] .. hi[i] where v is largest,
-    read from an index sparse table over the value table.  It is a
-    functional graph; pointer doubling takes every arc 2^K >= n steps
-    forward, onto a cycle, so the arcs it lands on are exactly the arcs on
-    cycles, usually a few dozen of the n.  Doubling again among those
-    alone, keeping the smallest arc passed, labels each cycle by its
-    smallest arc, and the weight of base over each cycle is one bincount,
-    summed in arc order.
+    read from an index sparse table over the value table at the flat
+    indices level * n + lo and level * n + tail.  It is a functional graph;
+    pointer doubling by ``take`` moves every arc 2^K >= n steps forward, onto
+    a cycle, so the arcs it lands on are exactly the arcs on cycles, usually
+    a few dozen of the n.  Doubling again among those alone, keeping the
+    smallest arc passed, labels each cycle by its smallest arc, and the
+    weight of base over each cycle is one bincount, summed in arc order.
 
     A cycle i_1 -> ... -> i_L -> i_1 rules out a fixed point of the rounded
     loop when its computed sum S exceeds
@@ -187,18 +203,17 @@ def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
     """
     vals = table[0]
     n = vals.size
-    idx = np.empty(table.shape, dtype=np.int32)
-    idx[:, :] = np.arange(n, dtype=np.int32)
+    idx = np.tile(np.arange(n, dtype=np.int32), (table.shape[0], 1))
     for k in range(1, table.shape[0]):
         span = 1 << (k - 1)
         left_wins = table[k - 1, :-span] >= table[k - 1, span:]
         idx[k, :-span] = np.where(left_wins, idx[k - 1, :-span], idx[k - 1, span:])
-    first, second = idx[level, lo], idx[level, tail]
-    policy = np.where(vals[first] >= vals[second], first, second)
+    first, second = idx.take(level * n + lo), idx.take(level * n + tail)
+    policy = np.where(vals.take(first) >= vals.take(second), first, second)
 
     jump = policy
     for _ in range(max(n - 1, 1).bit_length()):
-        jump = jump[jump]
+        jump = jump.take(jump)
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[jump] = True
     # Label the few arcs on cycles by the smallest arc of their cycle: the
@@ -207,8 +222,8 @@ def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
     step = np.searchsorted(arcs, policy[arcs])
     low = arcs
     for _ in range(max(arcs.size - 1, 1).bit_length()):
-        low = np.minimum(low, low[step])
-        step = step[step]
+        low = np.minimum(low, low.take(step))
+        step = step.take(step)
     length = np.bincount(low, minlength=n)
     total = np.bincount(low, base[arcs], minlength=n)
     scale = np.bincount(low, np.abs(base[arcs]), minlength=n)

@@ -121,12 +121,12 @@ class NormalForm2D:
             return self.tau_L * x + y, -self.delta_L * x
         return self.tau_R * x + y, -self.delta_R * x
 
-    def ray_image(self, theta):
-        """``step`` of the unit ray at angle theta, vectorized over theta.  The
+    @staticmethod
+    def unit_ray(theta):
+        """(cos, sin) of the angle theta, vectorized; ``step`` maps that ray.  The
         switching ray pi/2 is exactly vertical (cos(pi/2) is 6.1e-17 in floats),
         so both sides send it to the positive x-axis."""
-        c = np.where(theta == HALF_PI, 0.0, np.cos(theta))
-        return self.step(c, np.sin(theta))
+        return np.where(theta == HALF_PI, 0.0, np.cos(theta)), np.sin(theta)
 
     def advance(self, x: float, y: float, k: int) -> tuple[float, float]:
         """k steps of ``step_scalar`` from one point, bit for bit, in one call."""

@@ -81,7 +81,7 @@ def circle_D(params: NormalForm2D, theta):
     Accepts scalars or arrays.
     """
     t = _check_angles(theta)
-    x, y = params.ray_image(t)
+    x, y = params.step(*params.unit_ray(t))
     out = np.hypot(x, y)
     return float(out) if np.isscalar(theta) or out.ndim == 0 else out
 
@@ -94,7 +94,7 @@ def circle_G(params: NormalForm2D, theta):
     """
     _require_sign_regime(params)
     t = _check_angles(theta)
-    x, y = params.ray_image(t)
+    x, y = params.step(*params.unit_ray(t))
     out = np.arctan2(y, x)
     # y >= 0 in regime; the only way to land at exactly pi would be y == 0,
     # x < 0, which the sign pattern rules out.  Guard anyway.  At pi/2 the

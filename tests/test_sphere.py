@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -48,6 +50,7 @@ from pwlstab import (
     sub_action,
 )
 from pwlstab.arcs import CYCLE_CHECK_EVERY, SUB_ACTION_ROUNDS
+from pwlstab.maps import HALF_PI
 from pwlstab.polygons import LAMBDA_POS_TOL
 from pwlstab.sphere import (
     BLOCK_MEMO_MAX,
@@ -720,6 +723,88 @@ def pointer_doubling_cycle(table, level, lo, tail, base):
     return cycle
 
 
+def per_round_sub_action(params, n_arcs):
+    """``sub_action`` as first written: it builds the edges and their unit
+    rays at every call, reads both windows of the range maxima with 2-D fancy
+    indices and allocates new arrays at every round, and searches cycles
+    with ``pointer_doubling_cycle``.  The reference for ``arcs.sub_action``."""
+    half = n_arcs // 2
+    edges = np.arange(n_arcs + 1) * (math.pi / n_arcs)
+    edges[half] = HALF_PI
+    x, y = params.step(np.where(edges == HALF_PI, 0.0, np.cos(edges)), np.sin(edges))
+    image = np.arctan2(y, x)
+    d2 = x * x + y * y
+
+    d2_max = np.maximum(d2[:-1], d2[1:])
+    for tau, delta, side in (
+        (params.tau_R, params.delta_R, slice(0, half)),
+        (params.tau_L, params.delta_L, slice(half, n_arcs)),
+    ):
+        c0 = 0.5 * (tau * tau + delta * delta + 1.0)
+        ca = 0.5 * (tau * tau + delta * delta - 1.0)
+        peak = 0.5 * math.atan2(tau, ca) % math.pi
+        inside = (edges[side] <= peak) & (peak <= edges[1:][side])
+        d2_max[side][inside] = c0 + math.hypot(ca, tau)
+    w = 0.5 * np.log(d2_max)
+
+    cone_lo = np.minimum(image[:-1], image[1:]) - arcs.ARC_PAD
+    cone_hi = np.maximum(image[:-1], image[1:]) + arcs.ARC_PAD
+    lo = np.searchsorted(edges[1:], cone_lo, "left")
+    hi = np.searchsorted(edges[:-1], cone_hi, "right") - 1
+
+    level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
+    tail = hi - (1 << level) + 1
+    table = np.full((int(level.max()) + 1, n_arcs), -np.inf)
+    eta = arcs.SUB_ACTION_ETA
+    base = w + eta
+    v = np.zeros(n_arcs)
+    for rounds in range(1, SUB_ACTION_ROUNDS + 1):
+        table[0] = v
+        for k in range(1, table.shape[0]):
+            span = 1 << (k - 1)
+            np.maximum(table[k - 1, :-span], table[k - 1, span:], out=table[k, :-span])
+        top = np.maximum(table[level, lo], table[level, tail])
+        new = np.maximum(0.0, base + top)
+        if np.array_equal(new, v):
+            slack = math.log(math.cos(math.pi / (2 * n_arcs))) - (w + top - v)
+            t = max(abs(params.tau_L), abs(params.tau_R))
+            margin = 2.0**-50 * (2.0 + np.abs(w).max() + v.max() + (1.0 + t) * np.exp(-w.min()))
+            return arcs.SubAction(
+                edges, w, lo, hi, v, rounds, eta, slack=slack, slack_margin=float(margin)
+            )
+        if rounds % CYCLE_CHECK_EVERY == 0:
+            cycle = pointer_doubling_cycle(table, level, lo, tail, base)
+            if cycle is not None:
+                return arcs.SubAction(edges, w, lo, hi, None, rounds, eta, cycle)
+        v = new
+    return arcs.SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS, eta)
+
+
+def sub_action_runs():
+    """(params, n) of the 16x8 acceptance plane's in-regime cells at 2048 and
+    8192, PT_UNSTABLE at 512 and 2048, and 200 sign-regime draws at 2048."""
+    runs = []
+    for tl in np.linspace(0.0, 3.5, 16):
+        for tr in np.linspace(-2.0, 1.0, 8):
+            params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
+            if params.tau_L < params.left_spiral_bound:
+                runs += [(params, 2048), (params, 8192)]
+    runs += [(NormalForm2D(*PT_UNSTABLE), 512), (NormalForm2D(*PT_UNSTABLE), 2048)]
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        tl, tr = rng.uniform(-3.0, 3.0, 2)
+        dl, dr = rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)
+        runs.append((NormalForm2D(tl, dl, tr, dr), 2048))
+    return runs
+
+
+def same_array(a, b) -> bool:
+    """Both None, or equal dtype, shape and bytes (signed zeros included)."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def assert_positive_cycle(sa):
     # re-verify the closed walk from the returned arrays alone: each arc's
     # successor range holds the next arc, the last arc's holds the first,
@@ -826,6 +911,53 @@ class TestSubAction:
                 m.setattr(arcs, "_positive_cycle", both)
                 sub_action(params, n)
         assert compared > 100 and sum(calls) > 100 and not all(calls)
+
+    def test_matches_per_round_sub_action(self):
+        # the graph's flat indices, the rounds' buffers and the cached rays
+        # change no float: every field of every run equals the reference's
+        runs = sub_action_runs()
+        cycles = converged = 0
+        for params, n in runs:
+            got, want = sub_action(params, n), per_round_sub_action(params, n)
+            for name in ("edges", "w", "lo", "hi", "v", "cycle", "slack"):
+                assert same_array(getattr(got, name), getattr(want, name)), name
+            assert (got.rounds, got.eta, got.slack_margin) == (want.rounds, want.eta, want.slack_margin)
+            cycles += got.cycle is not None
+            converged += got.v is not None
+        assert len(runs) == 378 and cycles > 300 and converged > 50
+
+    def test_rays_are_cached_read_only(self):
+        arcs._arc_rays.cache_clear()
+        with pytest.raises(ValueError, match="even"):
+            sub_action(NormalForm2D(*PT_STABLE), 511)
+        with pytest.raises(RegimeError):
+            sub_action(NormalForm2D(1.0, -0.2, -0.5, -1.2), 512)
+        assert arcs._arc_rays.cache_info().currsize == 0
+        params = NormalForm2D(*PT_FOLD)
+        for n in (512, 2048):
+            rays = arcs._arc_rays(n)
+            assert arcs._arc_rays(n) is rays
+            edges, c, s = rays
+            want = np.arange(n + 1) * (math.pi / n)
+            want[n // 2] = HALF_PI
+            assert same_array(edges, want)
+            assert same_array(c, np.where(want == HALF_PI, 0.0, np.cos(want)))
+            assert same_array(s, np.sin(want)) and c[n // 2] == 0.0
+            for a in rays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+            assert sub_action(params, n).edges is edges
+        for n in range(2, 20, 2):
+            arcs._arc_rays(n)
+        info = arcs._arc_rays.cache_info()
+        assert info.maxsize == info.currsize == 4
+
+    def test_import_builds_no_rays(self):
+        # the rays are built at the first sub_action, not when the package loads
+        code = "import pwlstab; print(pwlstab.arcs._arc_rays.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
 
     def test_runs_out_of_rounds_without_the_cycle_search(self, monkeypatch):
         monkeypatch.setattr(arcs, "CYCLE_CHECK_EVERY", SUB_ACTION_ROUNDS + 1)
