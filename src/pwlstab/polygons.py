@@ -435,18 +435,17 @@ class Ga92Verdict:
 SUB_ACTION_ARCS = (2048, 8192)
 
 
-def ga92(params: NormalForm2D) -> Ga92Verdict:
+def ga92(params: NormalForm2D, *, scan: list[PeriodicOrbit] | None = None) -> Ga92Verdict:
     """Decide asymptotic stability of the origin on the unit circle.
 
     Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
     searches the periodic ray orbits of period <= WITNESS_P_MAX for an
     instability witness, the one with the largest lambda above
-    LAMBDA_POS_TOL.  The scan builds no orbit for a word of length p whose
-    eigenvalue mu is at most exp(p * LAMBDA_POS_TOL) less 1e-3 of itself
-    (``sphere.eigenvalue_floor``): that orbit's lambda is ln(mu) / p up to
-    the rounding of its eigenrays, at most 4.3e-6 relative in mu as
-    measured, so it cannot exceed LAMBDA_POS_TOL and could never be the
-    witness.  Otherwise it tries a sub-action of the arc graph
+    LAMBDA_POS_TOL; the scan skips each eigenvalue whose orbit could not
+    be one (``sphere.eigenvalue_floor``).  A caller that has scanned the
+    map already (a sweep scans its cells in batches) passes that scan,
+    ``periodic_orbits_G(params, WITNESS_P_MAX, LAMBDA_POS_TOL)``, as
+    ``scan``.  Without a witness it tries a sub-action of the arc graph
     of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first one
     found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min v).
     The verdict is Stable with m = 1 if the slack of every arc exceeds its
@@ -464,8 +463,9 @@ def ga92(params: NormalForm2D) -> Ga92Verdict:
         raise RegimeError("certificate requires delta_L > 0 and delta_R < 0")
     if not params.in_certificate_regime:
         raise RegimeError("certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)")
-    orbits = periodic_orbits_G(params, p_max=WITNESS_P_MAX, lambda_min=LAMBDA_POS_TOL)
-    witnesses = [o for o in orbits if o.lambda_value > LAMBDA_POS_TOL]
+    if scan is None:
+        scan = periodic_orbits_G(params, p_max=WITNESS_P_MAX, lambda_min=LAMBDA_POS_TOL)
+    witnesses = [o for o in scan if o.lambda_value > LAMBDA_POS_TOL]
     if witnesses:
         return Ga92Verdict(
             CertificateStatus.INSTABILITY_WITNESS,

@@ -658,30 +658,37 @@ def _lyndon_rotations(p_max: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...
     return tuple(out)
 
 
-def _word_products(sides, p_max: int) -> tuple[list[float], ...]:
+def _word_table(cell_sides, p_max: int) -> np.ndarray:
     """Columns (ax, ay, bx, by) of the side-matrix product along every
-    binary word of length <= p_max: the images of e1 and e2 under the
-    word's matrices, applied in order.  Returns four lists, one per column.
+    binary word of length <= p_max, for each cell's ``sides``: the images
+    of e1 and e2 under the word's matrices, applied in order.  Returns an
+    array of shape (4, cells, 2^(p_max + 1) - 1), one row per column.
 
     Entry 2^p - 1 + b holds the word of length p whose k-th symbol is bit k
     of b; entry 0 is the empty word.  Each length appends one symbol to the
     words one shorter, so each product takes the same multiplies and adds,
     in the same order, as a loop over the word's symbols from the identity.
     """
-    taus = np.array([tau for tau, _ in sides])[:, None]
-    neg_deltas = np.array([-delta for _, delta in sides])[:, None]
+    n = len(cell_sides)
+    taus = np.array([[tau for tau, _ in sides] for sides in cell_sides])[:, :, None]
+    neg_deltas = np.array([[-delta for _, delta in sides] for sides in cell_sides])[:, :, None]
     # rows (ax, bx) and (ay, by), one column per word of the current length
-    x, y = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    x, y = (np.repeat(np.eye(2)[:, k, None, None], n, axis=1) for k in (0, 1))
     xs, ys = [x], [y]
     for _ in range(p_max):
         x, y = (
-            (taus * x[:, None] + y[:, None]).reshape(2, -1),
-            (neg_deltas * x[:, None]).reshape(2, -1),
+            (taus * x[:, :, None] + y[:, :, None]).reshape(2, n, -1),
+            (neg_deltas * x[:, :, None]).reshape(2, n, -1),
         )
         xs.append(x)
         ys.append(y)
-    (ax, bx), (ay, by) = np.hstack(xs).tolist(), np.hstack(ys).tolist()
-    return ax, ay, bx, by
+    (ax, bx), (ay, by) = np.concatenate(xs, axis=2), np.concatenate(ys, axis=2)
+    return np.stack((ax, ay, bx, by))
+
+
+def _word_products(sides, p_max: int) -> tuple[list[float], ...]:
+    """``_word_table`` of one cell, as four lists (ax, ay, bx, by)."""
+    return tuple(_word_table([sides], p_max)[:, 0].tolist())
 
 
 def _eigenray(
@@ -713,7 +720,7 @@ def rotation_products(sides, word) -> tuple[list[float], ...]:
     rotation of ``word``: entry i for word[i:] + word[:i], as four lists.
 
     Each product is multiplied out from the identity symbol by symbol, with
-    the same multiplies and adds in the same order as ``_word_products``,
+    the same multiplies and adds in the same order as ``_word_table``,
     all rotations at once.
     """
     p = len(word)
@@ -763,7 +770,7 @@ def word_orbits(sides, word, products, rows, mu_min: float = 0.0) -> list[Period
     default floor 0 skips only the non-positive eigenvalues, which give no
     ray orbit; a floor from ``eigenvalue_floor`` also skips every mu whose
     orbit cannot have lambda above a given bound, before any eigenray is
-    built.
+    built.  For a batch, ``_screen`` leaves out only words it surely fails.
     """
     p = len(word)
     r = rows[0]
@@ -800,6 +807,93 @@ def word_orbits(sides, word, products, rows, mu_min: float = 0.0) -> list[Period
     return out
 
 
+SCREEN_MARGIN = 1e-9  # relative; ``_screen``'s squares and math.hypot differ by ulps
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_plan(p_max: int) -> tuple[np.ndarray, ...]:
+    """Per Lyndon word of length <= p_max its length and first rotation; per
+    rotation, end to end, its table row, whether it starts with L, its word."""
+    lyndon = _lyndon_rotations(p_max)
+    lengths = np.array([len(word) for word, _ in lyndon])
+    rot_rows = np.array([r for _, rows in lyndon for r in rows])
+    rot_left = np.array([s == 0 for word, _ in lyndon for s in word])
+    rot_word = np.repeat(np.arange(len(lyndon)), lengths)
+    return lengths, np.cumsum(lengths) - lengths, rot_rows, rot_left, rot_word
+
+
+def _screen(table: np.ndarray, p_max: int, floors: np.ndarray) -> np.ndarray:
+    """Which (cell, Lyndon word) pairs of ``table`` may give an orbit in
+    ``word_orbits``, whose eigenvalues it takes bit for bit (``floors`` by
+    length).  A word is dropped only when each eigenvalue above its floor
+    has a rotation whose eigenray surely fails the side test: no row tie
+    in ``_eigenray`` within SCREEN_MARGIN, and a cosine past EPS_ANGLE on
+    the wrong side by that margin.  NaN, inf or |M - mu I| < 1e-100 keeps it."""
+    lengths, starts, rot_rows, rot_left, rot_word = _scan_plan(p_max)
+    wide = (1.0 + SCREEN_MARGIN) ** 2
+    with np.errstate(all="ignore"):
+        ax, ay, bx, by = table[:, :, rot_rows[starts]]
+        half_tr = 0.5 * (ax + by)
+        det = ax * by - bx * ay
+        disc = half_tr * half_tr - det
+        mu1 = half_tr + np.copysign(np.sqrt(disc), half_tr)
+        mus = np.stack((mu1, det / mu1))
+        live = ~(disc < 0.0) & ~(mus <= floors[lengths])
+        e, c, r = np.nonzero(live[:, :, rot_word])  # rotations of live eigenvalues
+        ax, ay, bx, by = table[:, c, rot_rows[r]]
+        mu = mus[e, c, rot_word[r]]
+        q0 = (ax - mu) * (ax - mu) + bx * bx
+        q1 = ay * ay + (by - mu) * (by - mu)
+        row0 = q0 > wide * q1
+        q = np.where(row0, q0, q1)
+        vx, vy = np.where(row0, -bx, mu - by), np.where(row0, ax - mu, ay)
+        sure = (row0 | (q1 > wide * q0)) & (q > 1e-200)  # squares far from underflow
+        positive = (vx > 0.0) != ((vy < 0.0) | ((vy == 0.0) & (vx < 0.0)))
+        fails = sure & (vx * vx > EPS_ANGLE * EPS_ANGLE * wide * q) & (positive == rot_left[r])
+    dead = np.zeros_like(live)
+    dead[e[fails], c[fails], rot_word[r[fails]]] = True
+    return (live & ~dead).any(axis=0)
+
+
+def periodic_orbits_many(
+    cells: list[NormalForm2D], p_max: int = 6, lambda_min: float | None = None
+) -> list[list[PeriodicOrbit]]:
+    """``periodic_orbits_G`` of each map in a nonempty list, from one word
+    table.  A single map runs every word through ``word_orbits``; for more,
+    ``_screen`` first drops the (cell, word) pairs that surely give none."""
+    for params in cells:
+        _require_sign_regime(params)
+    if p_max < 1:
+        raise ValueError("p_max must be at least 1")
+    sides = [((c.tau_L, c.delta_L), (c.tau_R, c.delta_R)) for c in cells]
+    n = len(sides)
+    floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
+              for p in range(p_max + 1)]
+    table = _word_table(sides, p_max)
+    lyndon = _lyndon_rotations(p_max)
+    keep = [[True] * len(lyndon)] if n == 1 else _screen(table, p_max, np.array(floors)).tolist()
+    out = []
+    for c, kept in enumerate(keep):
+        words = [word for word, k in zip(lyndon, kept) if k]
+        products = table[:, c].tolist() if words else None
+        orbits: list[PeriodicOrbit] = []
+        listed: dict[int, list[tuple[float, ...]]] = {}  # orbit angles by period
+        for word, rows in words:
+            p = len(word)
+            for orbit in word_orbits(sides[c], word, products, rows, floors[p]):
+                thetas = orbit.thetas
+                if any(p % q == 0 and _same_angles(thetas, thetas[q:] + thetas[:q])
+                       for q in range(1, p)):
+                    continue  # a shorter word traces this orbit
+                same_period = listed.setdefault(p, [])
+                if any(_same_angles(t, thetas) for t in same_period):
+                    continue
+                same_period.append(thetas)
+                orbits.append(orbit)
+        out.append(sorted(orbits, key=lambda o: (o.period, o.thetas[0])))
+    return out
+
+
 def periodic_orbits_G(
     params: NormalForm2D, p_max: int = 6, lambda_min: float | None = None
 ) -> list[PeriodicOrbit]:
@@ -813,8 +907,9 @@ def periodic_orbits_G(
     of the product along the word rotated to start there: following the
     orbit forward would amplify rounding along orbits that repel on the
     circle.  The products of all words of length <= p_max are built once
-    per call (``_word_products``), so each word and each rotation is one
-    table lookup; the table has 2^(p_max + 1) - 1 entries.
+    per call (``_word_table``), so each word and each rotation is one
+    table lookup; the table has 2^(p_max + 1) - 1 entries.  This is
+    ``periodic_orbits_many`` of one map, which gives batches the same lists.
 
     A ray within EPS_ANGLE of the switching ray pi/2 may take either symbol,
     so one orbit can match several words, and a word can trace an orbit of
@@ -826,33 +921,8 @@ def periodic_orbits_G(
     length p skips each eigenvalue at or below ``eigenvalue_floor(p,
     lambda_min)``, so the list keeps every orbit with lambda above
     lambda_min, and may keep some just below it, which the caller filters.
-    The floor sits MU_FLOOR_SLACK (1e-3) below exp(p * lambda_min) because
-    an orbit's multiplier matches mu only up to the rounding of its
-    eigenrays: the worst relative gap measured over 59 511 orbits was
-    4.3e-6, near a fixed ray.  The slack covers the dedup too: an orbit
+    The floor's slack (MU_FLOOR_SLACK) covers the dedup too: an orbit
     listed twice has the same angles within EPS_ANGLE, hence the same D
     values and nearly the same mu, so its twins are kept or skipped alike.
     """
-    _require_sign_regime(params)
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
-    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-    products = _word_products(sides, p_max)
-    floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
-              for p in range(p_max + 1)]
-    out: list[PeriodicOrbit] = []
-    listed: dict[int, list[tuple[float, ...]]] = {}  # orbit angles by period
-    for word, rows in _lyndon_rotations(p_max):
-        p = len(word)
-        for orbit in word_orbits(sides, word, products, rows, floors[p]):
-            thetas = orbit.thetas
-            if any(p % q == 0 and _same_angles(thetas, thetas[q:] + thetas[:q])
-                   for q in range(1, p)):
-                continue  # a shorter word traces this orbit
-            same_period = listed.setdefault(p, [])
-            if any(_same_angles(t, thetas) for t in same_period):
-                continue
-            same_period.append(thetas)
-            out.append(orbit)
-    out.sort(key=lambda o: (o.period, o.thetas[0]))
-    return out
+    return periodic_orbits_many([params], p_max, lambda_min)[0]

@@ -18,10 +18,11 @@ from functools import cached_property, partial
 import numpy as np
 
 from .maps import NormalForm2D
-from .polygons import CertificateStatus, ga92
-from .sphere import rho_sampled
+from .polygons import LAMBDA_POS_TOL, WITNESS_P_MAX, CertificateStatus, ga92
+from .sphere import periodic_orbits_many, rho_sampled
 
 _MASK64 = (1 << 64) - 1
+SCAN_BATCH = 16  # in-regime cells per witness-scan batch; bounds its memory
 
 
 def mix_seed(base_seed: int, i: int, j: int) -> int:
@@ -112,33 +113,41 @@ def _measure_cell(spec: GridSpec, i: int, j: int, samples: int, base_seed: int):
     return est.rho_hat, est.undecided_fraction
 
 
-def _asymptotic_cell(spec: GridSpec, i: int, j: int) -> int:
-    """The m of cell (i, j)'s Stable verdict, or -1 where ga92 declines."""
-    params = spec.params(i, j)
-    if not params.in_certificate_regime:
-        return -1
-    verdict = ga92(params)
-    return verdict.m if verdict.status is CertificateStatus.STABLE else -1
+def _measure_rows(spec: GridSpec, rows, samples: int, base_seed: int) -> list[list]:
+    return [[_measure_cell(spec, i, j, samples, base_seed) for j in range(spec.ny)] for i in rows]
 
 
-def _row(cell, spec: GridSpec, i: int) -> list:
-    return [cell(spec, i, j) for j in range(spec.ny)]
+def _asymptotic_rows(spec: GridSpec, rows) -> list[list]:
+    """The m of each Stable verdict in ``rows``, or -1 where ga92 declines;
+    in-regime cells are scanned SCAN_BATCH at a time, across rows."""
+    out = [[-1] * spec.ny for _ in rows]
+    cells = [(k, j, params) for k, i in enumerate(rows) for j in range(spec.ny)
+             if (params := spec.params(i, j)).in_certificate_regime]
+    for start in range(0, len(cells), SCAN_BATCH):
+        batch = cells[start : start + SCAN_BATCH]
+        scans = periodic_orbits_many([c[2] for c in batch], WITNESS_P_MAX, LAMBDA_POS_TOL)
+        for (k, j, params), scan in zip(batch, scans):
+            verdict = ga92(params, scan=scan)
+            out[k][j] = verdict.m if verdict.status is CertificateStatus.STABLE else -1
+    return out
 
 
-def _cells(cell, spec: GridSpec, workers: int) -> list[list]:
-    """``cell(spec, i, j)`` over the grid, one tau_L row per task.
+def _cells(rows, spec: GridSpec, workers: int) -> list[list]:
+    """``rows(spec, row_indices)`` over the grid's tau_L rows, in order;
+    worker k takes rows k, k + workers, ... as one task.
 
     The pool holds at most one process per row: a fork-based pool starts
     all of its processes up front, whether or not they get work.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    row = partial(_row, cell, spec)
+    task = partial(rows, spec)
     workers = min(workers, spec.nx)
     if workers == 1:
-        return [row(i) for i in range(spec.nx)]
+        return task(range(spec.nx))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, range(spec.nx)))
+        parts = list(pool.map(task, [range(k, spec.nx, workers) for k in range(workers)]))
+    return [parts[i % workers][i // workers] for i in range(spec.nx)]
 
 
 def sweep_measure(
@@ -147,8 +156,8 @@ def sweep_measure(
     """Monte-Carlo converged-fraction sweep; deterministic per (spec, seed)."""
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be at least 1")
-    cell = partial(_measure_cell, samples=samples_per_cell, base_seed=base_seed)
-    cells = np.array(_cells(cell, spec, workers), dtype=np.float64)
+    rows = partial(_measure_rows, samples=samples_per_cell, base_seed=base_seed)
+    cells = np.array(_cells(rows, spec, workers), dtype=np.float64)
     return GridResult(spec, GridMode.MEASURE, cells[..., 0], cells[..., 1])
 
 
@@ -158,9 +167,10 @@ def sweep_asymptotic(spec: GridSpec, workers: int = 1) -> GridResult:
     A Stable verdict has m = 1: its sub-action region maps into itself in
     one image.  Cells outside the certificate's regime (tau_L >= 2
     sqrt(delta_L)) are marked with the sentinel -1, as are NotDecided cells
-    and cells with an instability witness.
+    and cells with an instability witness.  Each worker scans its rows'
+    in-regime cells SCAN_BATCH at a time, then calls ``ga92`` once per cell.
     """
-    values = np.array(_cells(_asymptotic_cell, spec, workers), dtype=np.int64)
+    values = np.array(_cells(_asymptotic_rows, spec, workers), dtype=np.int64)
     return GridResult(spec, GridMode.ASYMPTOTIC, values)
 
 

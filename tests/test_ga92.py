@@ -135,6 +135,21 @@ class TestVerdicts:
         assert ga92(NormalForm2D(*PT_STABLE)).status is CertificateStatus.STABLE
         assert 0 < len(calls) <= 131
 
+    def test_given_scan_gives_the_same_verdict(self):
+        # the 64x32 acceptance plane's in-regime cells, as a sweep hands
+        # each one its scan
+        cells = 0
+        for tl in np.linspace(0.0, 3.5, 64):
+            for tr in np.linspace(-2.0, 1.0, 32):
+                params = NormalForm2D(float(tl), 1.4, float(tr), -1.2)
+                if params.tau_L < params.left_spiral_bound:
+                    scan = periodic_orbits_G(
+                        params, polygons.WITNESS_P_MAX, polygons.LAMBDA_POS_TOL
+                    )
+                    assert repr(ga92(params, scan=scan)) == repr(ga92(params))
+                    cells += 1
+        assert cells == 1376
+
     def test_not_decided_within_budget(self):
         v = ga92(NormalForm2D(*PT_UNDECIDED))
         assert v.status is CertificateStatus.NOT_DECIDED

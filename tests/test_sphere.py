@@ -59,6 +59,8 @@ from pwlstab.sphere import (
     _block_length,
     _lyndon_rotations,
     _word_products,
+    _word_table,
+    eigenvalue_floor,
     rotation_products,
     word_orbits,
 )
@@ -684,6 +686,122 @@ class TestPeriodicOrbits:
         hit = [o for o in p6 if abs(o.thetas[0] - 1.129603) < 1e-6]
         assert len(hit) == 1
         assert hit[0].lambda_value == pytest.approx(-1.4037, abs=1e-4)
+
+
+def per_cell_scan(params, p_max, lambda_min):
+    """The witness scan as written before cells were batched: every Lyndon
+    word of one cell goes through ``word_orbits``, with no screen."""
+    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+    products = _word_products(sides, p_max)
+    floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
+              for p in range(p_max + 1)]
+    out = []
+    listed = {}  # orbit angles by period
+    for word, rows in _lyndon_rotations(p_max):
+        p = len(word)
+        for orbit in word_orbits(sides, word, products, rows, floors[p]):
+            thetas = orbit.thetas
+            if any(p % q == 0 and sphere._same_angles(thetas, thetas[q:] + thetas[:q])
+                   for q in range(1, p)):
+                continue  # a shorter word traces this orbit
+            same_period = listed.setdefault(p, [])
+            if any(sphere._same_angles(t, thetas) for t in same_period):
+                continue
+            same_period.append(thetas)
+            out.append(orbit)
+    out.sort(key=lambda o: (o.period, o.thetas[0]))
+    return out
+
+
+def scan_cells():
+    """The 16x8 and 64x32 acceptance planes, 2000 wide sign-regime draws
+    (tau_L < 0 too), cells with tau_R = 0, whose orbits pass through the
+    switching ray pi/2 (at tau_L = 0 a word's product is a multiple of the
+    identity), and four points of the orbit tests above."""
+    cells = [
+        (float(tl), 1.4, float(tr), -1.2)
+        for nx, ny in ((16, 8), (64, 32))
+        for tl in np.linspace(0.0, 3.5, nx)
+        for tr in np.linspace(-2.0, 1.0, ny)
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        cells.append((rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0),
+                      rng.uniform(-4.0, 4.0), rng.uniform(-3.0, -0.05)))
+    cells += [(float(tl), dl, 0.0, -1.2) for dl in (1.0, 1.4) for tl in np.linspace(-2.0, 2.0, 9)]
+    cells += [PT_FOLD, PT_UNSTABLE, PT_ILL_CONDITIONED, (0.5916, 0.7480, -1.5024, -0.3868)]
+    return [NormalForm2D(*pt) for pt in cells]
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("lambda_min", [None, LAMBDA_POS_TOL], ids=["all", "floored"])
+    def test_matches_per_cell_scan(self, lambda_min):
+        # a shuffled cell order, cut into batches of 1, 5 and 16 in turn
+        cells = scan_cells()
+        order = np.random.default_rng(5).permutation(len(cells)).tolist()
+        start, sizes = 0, itertools.cycle((1, 5, 16))
+        while start < len(order):
+            batch = [cells[k] for k in order[start : start + next(sizes)]]
+            got = sphere.periodic_orbits_many(batch, 8, lambda_min)
+            assert len(got) == len(batch)
+            for params, orbits in zip(batch, got):
+                assert repr(orbits) == repr(per_cell_scan(params, 8, lambda_min)), params
+            start += len(batch)
+
+    @pytest.mark.parametrize("lambda_min", [None, LAMBDA_POS_TOL], ids=["all", "floored"])
+    def test_screen_drops_only_words_without_orbits(self, lambda_min):
+        cells = scan_cells()
+        floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
+                  for p in range(9)]
+        lyndon = _lyndon_rotations(8)
+        dropped = 0
+        for start in range(0, len(cells), 16):
+            batch = cells[start : start + 16]
+            sides = [((c.tau_L, c.delta_L), (c.tau_R, c.delta_R)) for c in batch]
+            table = _word_table(sides, 8)
+            keep = sphere._screen(table, 8, np.array(floors))
+            for c in range(len(batch)):
+                products = table[:, c].tolist()
+                for w in np.flatnonzero(~keep[c]):
+                    word, rows = lyndon[w]
+                    orbits = word_orbits(sides[c], word, products, rows, floors[len(word)])
+                    assert orbits == [], (batch[c], word)
+            dropped += int((~keep).sum())
+        # the screen does drop most words
+        assert dropped > 0.7 * len(cells) * len(lyndon)
+
+    def test_screen_keeps_a_ray_within_its_margin(self):
+        # a table of words up to length 1: L = [[0.5, b], [0, 2]] has the
+        # eigenvalue 2 on the ray of cosine c just right of pi/2, and R is a
+        # rotation.  At c = EPS_ANGLE (1 - 1e-11) the exact test gives L an
+        # orbit; at c = EPS_ANGLE (1 + 1e-11) it does not, but c is within
+        # the screen's margin, so the screen keeps L both times.
+        sides = ((0.5, 1.0), (0.0, 1.0))
+        orbits = []
+        for c in (sphere.EPS_ANGLE * (1 - 1e-11), sphere.EPS_ANGLE * (1 + 1e-11)):
+            b = 1.5 * c / math.sqrt(1.0 - c * c)
+            # rows ax, ay, bx, by; entries: the empty word, L, R
+            table = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, b, -1.0], [1.0, 2.0, 0.0]])
+            keep = sphere._screen(table[:, None], 1, np.zeros(2))
+            assert keep.tolist() == [[True, False]]
+            orbits.append(word_orbits(sides, (0,), table.tolist(), (1,)))
+        assert len(orbits[0]) == 1 and orbits[1] == []
+        assert orbits[0][0].thetas[0] == pytest.approx(math.pi / 2, abs=sphere.EPS_ANGLE)
+
+    def test_rejects_a_wrong_sign_or_period(self):
+        params = NormalForm2D(*PT_UNSTABLE)
+        with pytest.raises(RegimeError):
+            sphere.periodic_orbits_many([params, NormalForm2D(1.0, -0.2, -0.5, -1.2)], 8)
+        with pytest.raises(ValueError, match="p_max"):
+            sphere.periodic_orbits_many([params], 0)
+
+    def test_import_builds_no_plan(self):
+        # the screen's index arrays are built at the first batch, not when
+        # the package loads
+        code = "import pwlstab; print(pwlstab.sphere._scan_plan.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
 
 
 def pointer_doubling_cycle(table, level, lo, tail, base):

@@ -8,18 +8,22 @@ import pytest
 
 from pwlstab import sweep
 from pwlstab import (
+    CertificateStatus,
     DegenerateImageError,
     GridMode,
     GridResult,
     GridSpec,
     NormalForm2D,
+    ga92,
     mix_seed,
+    periodic_orbits_G,
     rho_sampled,
     sweep_asymptotic,
     sweep_measure,
     write_grid_csv,
     write_grid_pgm,
 )
+from pwlstab.polygons import LAMBDA_POS_TOL, WITNESS_P_MAX
 
 
 def spec1(tau_L, tau_R, delta_L=1.4, delta_R=-1.2) -> GridSpec:
@@ -196,6 +200,38 @@ class TestAsymptoticSweep:
         monkeypatch.setattr(sweep, "ga92", broken)
         with pytest.raises(DegenerateImageError, match="cell failed"):
             sweep_asymptotic(spec1(2.0, -0.8))
+
+    # 7x5 cells, 25 of them in regime: with one worker a batch of 16 cells
+    # that crosses rows, then a batch of 9
+    RAGGED = GridSpec((0.0, 3.5), (-2.0, 1.0), 7, 5, 1.4, -1.2)
+
+    def test_one_ga92_call_per_in_regime_cell(self, monkeypatch):
+        calls = []
+
+        def counted(params, *, scan=None):
+            calls.append((params, scan))
+            return ga92(params, scan=scan)
+
+        monkeypatch.setattr(sweep, "ga92", counted)
+        res = sweep_asymptotic(self.RAGGED)
+        cells = [(i, j) for i in range(7) for j in range(5)
+                 if self.RAGGED.params(i, j).in_certificate_regime]
+        assert len(cells) == 25 and len(cells) % sweep.SCAN_BATCH != 0
+        assert [params for params, _ in calls] == [self.RAGGED.params(i, j) for i, j in cells]
+        for (i, j), (params, scan) in zip(cells, calls):
+            assert repr(scan) == repr(periodic_orbits_G(params, WITNESS_P_MAX, LAMBDA_POS_TOL))
+            stable = ga92(params).status is CertificateStatus.STABLE
+            assert res.values[i, j] == (1 if stable else -1)
+
+    def test_ragged_grid_is_the_same_at_any_worker_count(self, tmp_path):
+        outputs = set()
+        for workers in (1, 2, 3):
+            res = sweep_asymptotic(self.RAGGED, workers=workers)
+            csv, pgm = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.pgm"
+            write_grid_csv(res, csv)
+            write_grid_pgm(res, pgm)
+            outputs.add((csv.read_bytes(), pgm.read_bytes()))
+        assert len(outputs) == 1
 
 
 class TestCsvOutput:
