@@ -440,14 +440,14 @@ def ga92(params: NormalForm2D, *, scan: list[PeriodicOrbit] | None = None) -> Ga
 
     Requires delta_L > 0 > delta_R and tau_L < 2*sqrt(delta_L).  First
     searches the periodic ray orbits of period <= WITNESS_P_MAX for an
-    instability witness, the one with the largest lambda above
-    LAMBDA_POS_TOL; the scan skips each eigenvalue whose orbit could not
-    be one (``sphere.eigenvalue_floor``).  A caller that has scanned the
-    map already (a sweep scans its cells in batches) passes that scan,
-    ``periodic_orbits_G(params, WITNESS_P_MAX, LAMBDA_POS_TOL)``, as
-    ``scan``.  Without a witness it tries a sub-action of the arc graph
-    of G (``sub_action``) on SUB_ACTION_ARCS arcs in turn.  The first one
-    found bounds |g^t x| by C exp(-eta t) |x| with C = exp(max v - min v).
+    instability witness (``_best_witness``); the scan skips each word and
+    eigenvalue whose orbit could not be one (``sphere.eigenvalue_floor``).
+    A caller that has scanned the map already (a sweep scans its cells in
+    batches) passes that scan, ``periodic_orbits_G(params, WITNESS_P_MAX,
+    LAMBDA_POS_TOL)``, as ``scan``.  Without a witness it tries a
+    sub-action of the arc graph of G (``sub_action``) on SUB_ACTION_ARCS
+    arcs in turn.  The first one found bounds |g^t x| by C exp(-eta t) |x|
+    with C = exp(max v - min v).
     The verdict is Stable with m = 1 if the slack of every arc exceeds its
     rounding margin, so that the star region with radius exp(-(v_i - min
     v)) on arc i maps into itself, and NotDecided if not.
@@ -465,11 +465,11 @@ def ga92(params: NormalForm2D, *, scan: list[PeriodicOrbit] | None = None) -> Ga
         raise RegimeError("certificate requires tau_L < 2*sqrt(delta_L) (rotating left half)")
     if scan is None:
         scan = periodic_orbits_G(params, p_max=WITNESS_P_MAX, lambda_min=LAMBDA_POS_TOL)
-    witnesses = [o for o in scan if o.lambda_value > LAMBDA_POS_TOL]
-    if witnesses:
+    witness = _best_witness(scan)
+    if witness is not None:
         return Ga92Verdict(
             CertificateStatus.INSTABILITY_WITNESS,
-            witness=max(witnesses, key=lambda o: o.lambda_value),
+            witness=witness,
             note="periodic ray orbit with positive average log-stretch",
         )
 
@@ -522,10 +522,14 @@ def _cycle_witness(params: NormalForm2D, cycle: np.ndarray, n: int) -> PeriodicO
         return None
     root = word[:q]
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-    orbits = word_orbits(
+    return _best_witness(word_orbits(
         sides, root, rotation_products(sides, root), range(q),
         eigenvalue_floor(q, LAMBDA_POS_TOL),
-    )
+    ))
+
+
+def _best_witness(orbits: list[PeriodicOrbit]) -> PeriodicOrbit | None:
+    """The orbit with the largest lambda above LAMBDA_POS_TOL (the first on a tie), or None."""
     witnesses = [o for o in orbits if o.lambda_value > LAMBDA_POS_TOL]
     return max(witnesses, key=lambda o: o.lambda_value, default=None)
 

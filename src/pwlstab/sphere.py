@@ -770,7 +770,7 @@ def word_orbits(sides, word, products, rows, mu_min: float = 0.0) -> list[Period
     default floor 0 skips only the non-positive eigenvalues, which give no
     ray orbit; a floor from ``eigenvalue_floor`` also skips every mu whose
     orbit cannot have lambda above a given bound, before any eigenray is
-    built.  For a batch, ``_screen`` leaves out only words it surely fails.
+    built.  A scan's ``_screen`` leaves out only words that this test surely fails.
     """
     p = len(word)
     r = rows[0]
@@ -859,19 +859,17 @@ def periodic_orbits_many(
     cells: list[NormalForm2D], p_max: int = 6, lambda_min: float | None = None
 ) -> list[list[PeriodicOrbit]]:
     """``periodic_orbits_G`` of each map in a nonempty list, from one word
-    table.  A single map runs every word through ``word_orbits``; for more,
-    ``_screen`` first drops the (cell, word) pairs that surely give none."""
+    table; ``_screen`` first drops the (cell, word) pairs that surely give none."""
     for params in cells:
         _require_sign_regime(params)
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     sides = [((c.tau_L, c.delta_L), (c.tau_R, c.delta_R)) for c in cells]
-    n = len(sides)
     floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
               for p in range(p_max + 1)]
     table = _word_table(sides, p_max)
     lyndon = _lyndon_rotations(p_max)
-    keep = [[True] * len(lyndon)] if n == 1 else _screen(table, p_max, np.array(floors)).tolist()
+    keep = _screen(table, p_max, np.array(floors)).tolist()
     out = []
     for c, kept in enumerate(keep):
         words = [word for word, k in zip(lyndon, kept) if k]
@@ -902,14 +900,14 @@ def periodic_orbits_G(
     A periodic ray orbit with itinerary w (the side, L or R, of each iterate)
     is a positive real eigenvector of the product of side matrices along w
     whose orbit lies on the sides w names.  The binary Lyndon words of
-    length <= p_max, one per cyclic class of itineraries, are enumerated,
-    and each goes through ``word_orbits``.  Each iterate is the eigenvector
-    of the product along the word rotated to start there: following the
-    orbit forward would amplify rounding along orbits that repel on the
-    circle.  The products of all words of length <= p_max are built once
-    per call (``_word_table``), so each word and each rotation is one
-    table lookup; the table has 2^(p_max + 1) - 1 entries.  This is
-    ``periodic_orbits_many`` of one map, which gives batches the same lists.
+    length <= p_max, one per cyclic class of itineraries, are enumerated;
+    ``_screen`` drops those that surely give no orbit, and the rest go
+    through ``word_orbits``.  Each iterate is the eigenvector of the product
+    along the word rotated to start there: following the orbit forward would
+    amplify rounding along orbits that repel on the circle.  The products of
+    all words of length <= p_max are built once per call (``_word_table``),
+    so each word and each rotation is one table lookup; the table has
+    2^(p_max + 1) - 1 entries.  This is ``periodic_orbits_many`` of one map.
 
     A ray within EPS_ANGLE of the switching ray pi/2 may take either symbol,
     so one orbit can match several words, and a word can trace an orbit of

@@ -2,10 +2,9 @@
 
 Two modes: a Monte-Carlo sweep recording the fraction of sampled initial
 points whose orbits converge to the origin, and a certificate sweep
-recording where ``ga92`` certifies stability (m = 1) and where it declines
-(-1).  Per-cell seeds are mixed from the base seed and the cell
-indices, so results are bit-identical no matter how cells are scheduled
-across workers.
+recording 1 where ``ga92``'s verdict is Stable and -1 where it declines.
+Per-cell seeds are mixed from the base seed and the cell indices, so
+results are bit-identical no matter how cells are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -95,10 +94,9 @@ class GridResult:
     """Per-cell sweep outputs, indexed [tau_L index, tau_R index].
 
     Measure mode: ``values`` holds converged fractions and ``undecided`` the
-    budget-exhausted fractions.  Asymptotic mode: ``values`` holds 1
-    wherever ``ga92`` certifies stability (the m of its verdict), or -1
-    where the certificate declined (out of regime, not decided, or an
-    instability witness was found).
+    budget-exhausted fractions.  Asymptotic mode: ``values`` holds 1 where
+    ``ga92``'s verdict is Stable, or -1 where the certificate declined (out
+    of regime, not decided, or an instability witness was found).
     """
 
     spec: GridSpec
@@ -118,7 +116,7 @@ def _measure_rows(spec: GridSpec, rows, samples: int, base_seed: int) -> list[li
 
 
 def _asymptotic_rows(spec: GridSpec, rows) -> list[list]:
-    """The m of each Stable verdict in ``rows``, or -1 where ga92 declines;
+    """1 where ga92's verdict in ``rows`` is Stable, or -1 where it declines;
     in-regime cells are scanned SCAN_BATCH at a time, across rows."""
     out = [[-1] * spec.ny for _ in rows]
     cells = [(k, j, params) for k, i in enumerate(rows) for j in range(spec.ny)
@@ -127,8 +125,7 @@ def _asymptotic_rows(spec: GridSpec, rows) -> list[list]:
         batch = cells[start : start + SCAN_BATCH]
         scans = periodic_orbits_many([c[2] for c in batch], WITNESS_P_MAX, LAMBDA_POS_TOL)
         for (k, j, params), scan in zip(batch, scans):
-            verdict = ga92(params, scan=scan)
-            out[k][j] = verdict.m if verdict.status is CertificateStatus.STABLE else -1
+            out[k][j] = 1 if ga92(params, scan=scan).status is CertificateStatus.STABLE else -1
     return out
 
 
@@ -162,13 +159,12 @@ def sweep_measure(
 
 
 def sweep_asymptotic(spec: GridSpec, workers: int = 1) -> GridResult:
-    """Certificate sweep recording the m of each cell's ``ga92`` verdict.
+    """Certificate sweep recording 1 where a cell's ``ga92`` verdict is Stable.
 
-    A Stable verdict has m = 1: its sub-action region maps into itself in
-    one image.  Cells outside the certificate's regime (tau_L >= 2
-    sqrt(delta_L)) are marked with the sentinel -1, as are NotDecided cells
-    and cells with an instability witness.  Each worker scans its rows'
-    in-regime cells SCAN_BATCH at a time, then calls ``ga92`` once per cell.
+    Cells outside the certificate's regime (tau_L >= 2 sqrt(delta_L)) are
+    marked with the sentinel -1, as are NotDecided cells and cells with an
+    instability witness.  Each worker scans its rows' in-regime cells
+    SCAN_BATCH at a time, then calls ``ga92`` once per cell.
     """
     values = np.array(_cells(_asymptotic_rows, spec, workers), dtype=np.int64)
     return GridResult(spec, GridMode.ASYMPTOTIC, values)

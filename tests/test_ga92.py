@@ -119,9 +119,11 @@ class TestVerdicts:
         assert v.m <= 3
 
     def test_scan_builds_no_orbit_that_cannot_expand(self, monkeypatch):
-        # the witness scan skips every eigenvalue whose orbit cannot have
-        # lambda above LAMBDA_POS_TOL before building an eigenray; the full
-        # scan builds 256 eigenrays at PT_CONTRACT and 428 at PT_STABLE
+        # the witness scan drops every word and eigenvalue whose orbit cannot
+        # have lambda above LAMBDA_POS_TOL before building an eigenray.  A scan
+        # of every word with no floor builds 256 eigenrays at PT_CONTRACT, 428
+        # at PT_STABLE and 316 at PT_UNSTABLE, where the screen and the floor
+        # must still leave the period-3 witness's eigenrays
         calls = []
         eigenray = sphere._eigenray
 
@@ -130,10 +132,13 @@ class TestVerdicts:
             return eigenray(*args)
 
         monkeypatch.setattr(sphere, "_eigenray", counted)
-        assert ga92(NormalForm2D(*PT_CONTRACT)).status is CertificateStatus.STABLE
-        assert len(calls) == 0
-        assert ga92(NormalForm2D(*PT_STABLE)).status is CertificateStatus.STABLE
-        assert 0 < len(calls) <= 131
+        for pt in (PT_CONTRACT, PT_STABLE):
+            assert ga92(NormalForm2D(*pt)).status is CertificateStatus.STABLE
+            assert len(calls) == 0
+        v = ga92(NormalForm2D(*PT_UNSTABLE))
+        assert v.status is CertificateStatus.INSTABILITY_WITNESS
+        assert v.witness.period == 3
+        assert 1 <= len(calls) <= 3
 
     def test_given_scan_gives_the_same_verdict(self):
         # the 64x32 acceptance plane's in-regime cells, as a sweep hands

@@ -770,6 +770,27 @@ class TestBatchedScan:
         # the screen does drop most words
         assert dropped > 0.7 * len(cells) * len(lyndon)
 
+    @pytest.mark.parametrize("lambda_min", [None, LAMBDA_POS_TOL], ids=["all", "floored"])
+    def test_screen_keeps_the_same_words_for_a_cell_alone(self, lambda_min):
+        # a scan of one cell screens too: the bench's 16x8 plane's 88
+        # in-regime cells and the four reference points, in batches of 16
+        # and one by one
+        cells = [
+            (float(tl), 1.4, float(tr), -1.2)
+            for tl in np.linspace(0.0, 3.5, 16) if tl < 2.0 * math.sqrt(1.4)
+            for tr in np.linspace(-2.0, 1.0, 8)
+        ]
+        assert len(cells) == 88
+        cells += [PT_FOLD, PT_STABLE, PT_UNSTABLE, PT_CONTRACT]
+        floors = np.array([0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
+                           for p in range(9)])
+        for start in range(0, len(cells), 16):
+            sides = [((tl, dl), (tr, dr)) for tl, dl, tr, dr in cells[start : start + 16]]
+            keep = sphere._screen(_word_table(sides, 8), 8, floors)
+            for c in range(len(sides)):
+                alone = sphere._screen(_word_table(sides[c : c + 1], 8), 8, floors)
+                assert alone.tolist() == [keep[c].tolist()], cells[start + c]
+
     def test_screen_keeps_a_ray_within_its_margin(self):
         # a table of words up to length 1: L = [[0.5, b], [0, 2]] has the
         # eigenvalue 2 on the ray of cosine c just right of pi/2, and R is a
