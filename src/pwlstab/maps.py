@@ -77,8 +77,9 @@ class NormalForm2D:
     """Parameter quadruple (tau_L, delta_L, tau_R, delta_R) of the planar form.
 
     Each side acts by the companion matrix [[tau, 1], [-delta, 0]] and the
-    switching line is x = 0.  Construction is allowed for any parameters;
-    the individual analyses check their own regime requirements
+    switching line is x = 0.  Construction is allowed for any finite
+    parameters, and a NaN or an infinity raises ``ValueError``; the
+    individual analyses check their own regime requirements
     (``delta_L > 0 > delta_R`` for the sphere decomposition work).
 
     ``step``, ``step_scalar``, ``advance`` and ``first_exit`` are the one
@@ -100,6 +101,8 @@ class NormalForm2D:
     delta_R: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.tau_L, self.delta_L, self.tau_R, self.delta_R))):
+            raise ValueError(f"parameters must be finite: {self!r}")
         # negated once here; negation is exact
         object.__setattr__(self, "_tau", np.array([self.tau_R, self.tau_L], dtype=float))
         object.__setattr__(

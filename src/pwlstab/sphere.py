@@ -119,8 +119,6 @@ KERNEL_TOL = 1e-12
 # Bounds on a block of unnormalised steps; see _block_length.
 BLOCK_MAX = 32
 BLOCK_GROWTH = 1e12
-# Entries of one generation of birkhoff_lambda's block memo.
-BLOCK_MEMO_MAX = 1024
 # Relative padding that makes rho_sampled's stretch bounds hold for the
 # rounded step, whose stretch can fall below the exact shrink bound by a
 # few ulps, and keeps their logarithms away from 0.
@@ -182,32 +180,19 @@ def birkhoff_lambda(
     ``ZeroImageError``, so the kernel check fires where a per-step check
     would.
 
-    Blocks are memoised on the exact float state: a dict maps (zx, zy, k)
-    to (ln d, wx / d, wy / d), and starts a new generation once it holds
-    BLOCK_MEMO_MAX = 1024 entries, so memory stays bounded at any n.  A
-    generation that filled up without a hit switches the memo off for the
-    rest of the orbit: the orbit is taken not to repeat its float states,
-    and the key and the lookup would cost every block for nothing.  Either
-    way each block returns the same floats.  An entry is stored only after
-    the kernel check has passed.  The block map is a
-    deterministic function of its key, so a hit returns the very floats
-    the block would compute, and lambda_hat and std_error are bit-identical
-    to the plain loop.  (+0.0 and -0.0 share a key; states that differ only
-    there differ only in the sign of zero coordinates, which no branch or
-    norm reads.)  Orbits of G often settle onto a cycle of float states,
-    and there most blocks repeat an earlier state.
-
-    Batches are memoised the same way, one level up.  Every batch runs the
+    Batches are memoised on the exact float state.  Every batch runs the
     same n // batches steps, so its sum and end state are a deterministic
     function of its start state: a dict maps (zx, zy) to (sum, zx, zy) at
     the batch's end, and a batch that starts from a state seen before
-    returns those floats without running a block.  It holds at most 100
-    entries.  An orbit that repeats its float state at a batch boundary
-    skips every later batch; most settled orbits do so from their first
-    batch.  The block memo stays: a float cycle longer than a batch (one of
-    798 blocks, say) brings a batch back to an earlier start state only
-    after many laps, if at all within n steps, while the block memo reuses
-    its blocks from the second lap on.
+    returns those floats without running a block.  lambda_hat and
+    std_error are thus bit-identical to the plain block loop, and the dict
+    holds at most 100 entries.  Orbits of G often settle onto a cycle of
+    float states; one that repeats its state at a batch boundary skips
+    every later batch, and most settled orbits do so from their first
+    batch.  Burn-in, the n % batches tail and a float cycle longer than a
+    batch run block by block.  (+0.0 and -0.0 share a key; states that
+    differ only there differ only in the sign of zero coordinates, which no
+    branch or norm reads.)
 
     The first ``burn_in`` steps are discarded so the average samples the
     attractor rather than the transient.  lambda_hat averages all n steps.
@@ -228,34 +213,19 @@ def birkhoff_lambda(
 
     zx, zy = float(z[0]), float(z[1])
     block = _block_length(params)
-    # None once a full generation of the memo has gone without a hit
-    memo: dict[tuple[float, float, int], tuple[float, float, float]] | None = {}
-    hits = 0  # in the memo's current generation
 
     def log_stretch(steps: int) -> float:
         """Sum of ln D over the next ``steps`` steps of the unit orbit."""
-        nonlocal zx, zy, memo, hits
+        nonlocal zx, zy
         total = 0.0
         while steps > 0:
             k = min(block, steps)
-            hit = None
-            if memo is not None:
-                key = (zx, zy, k)
-                hit = memo.get(key)
-            if hit is None:
-                wx, wy = params.advance(zx, zy, k)
-                d = math.hypot(wx, wy)
-                if d < KERNEL_TOL:
-                    raise ZeroImageError("orbit hit the kernel of a side matrix")
-                hit = (math.log(d), wx / d, wy / d)
-                if memo is not None and len(memo) >= BLOCK_MEMO_MAX:
-                    memo, hits = ({} if hits else None), 0
-                if memo is not None:
-                    memo[key] = hit
-            else:
-                hits += 1
-            log_d, zx, zy = hit
-            total += log_d
+            wx, wy = params.advance(zx, zy, k)
+            d = math.hypot(wx, wy)
+            if d < KERNEL_TOL:
+                raise ZeroImageError("orbit hit the kernel of a side matrix")
+            total += math.log(d)
+            zx, zy = wx / d, wy / d
             steps -= k
         return total
 

@@ -7,6 +7,9 @@ PT_FOLD = (2.5, 1.4, -0.5, -1.2)  # two invariant left rays, partial basin
 PT_STABLE = (2.0, 1.4, -0.8, -1.2)  # certificate-stable
 PT_UNSTABLE = (1.4, 1.4, -1.4, -1.2)  # period-3 obstruction
 PT_CONTRACT = (0.5, 0.2, -0.5, -0.2)  # strongly contracting both sides
+# Started at angle 0.5, its orbit's 7th block of 16 steps starts from the
+# float state the 6th started from, and so does every later block.
+PT_CYCLING = (1.479, 0.35, -0.1, -1.5)
 
 # Frozen oracles for PT_FOLD, derived by hand from the closed forms
 #   lambda_pm = tau/2 +- sqrt(tau^2/4 - delta), ray angle = atan(lambda - tau)

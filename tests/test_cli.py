@@ -12,7 +12,7 @@ import pytest
 
 from pwlstab import AnalysisReport, NormalForm2D, cli, ga92
 
-from conftest import FOLD_RHO, PT_CONTRACT, PT_FOLD, PT_STABLE, PT_UNSTABLE
+from conftest import FOLD_RHO, PT_CONTRACT, PT_CYCLING, PT_FOLD, PT_STABLE, PT_UNSTABLE
 
 STABLE_ARGS = ["--tl", "2", "--dl", "1.4", "--tr", "-0.8", "--dr", "-1.2"]
 FOLD_ARGS = ["--tl", "2.5", "--dl", "1.4", "--tr", "-0.5", "--dr", "-1.2"]
@@ -216,6 +216,22 @@ class TestLambda:
         assert float(pairs["lambda_hat"]) == pytest.approx(-0.16, abs=0.02)
         assert pairs["n_used"] == "2000"
         assert a.stdout == run_cli(*args).stdout
+
+    @pytest.mark.parametrize(
+        "point, digest",
+        [
+            (PT_CYCLING, "6b619c42299fd510b47f940ae9f115ca1631a5789d6d552484c4dd3787e0dd88"),
+            (PT_STABLE, "d14e5ca3cd24295a6c2249c05a8d97f893427b692bb21edbcd14e27deeaa6a5b"),
+        ],
+        ids=["cycling", "stable"],
+    )
+    def test_default_length_output_pinned(self, point, digest):
+        # the default --iters 1 000 000 and --burnin 1000: an orbit that
+        # settles onto a float cycle and one that never repeats a state
+        args = [a for flag, v in zip(("--tl", "--dl", "--tr", "--dr"), point)
+                for a in (flag, repr(v))]
+        out = run_cli("lambda", *args)
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
     def test_negative_exponent_value_is_an_argument(self):
         # argparse's own negative-number pattern has no exponent, so

@@ -133,6 +133,15 @@ class TestNormalFormStep:
         q = dataclasses.replace(p, tau_R=3.0)
         assert q.step(np.array([1.0]), np.array([0.0]))[0][0] == 3.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["tau_L", "delta_L", "tau_R", "delta_R"])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        p = NormalForm2D(2.0, 1.4, -0.8, -1.2)
+        with pytest.raises(ValueError, match="finite"):
+            NormalForm2D(**{**dataclasses.asdict(p), field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(p, **{field: bad})
+
     @pytest.mark.parametrize("k", [1, 7, 32])
     def test_advance_is_repeated_step_bit_for_bit(self, k):
         rng = np.random.default_rng(5)

@@ -149,12 +149,8 @@ class TestSampled:
             (1e-9, 1e-9, 1e-9, -1e-9),
             # unpadded, the shrink bound rounds to 1
             (0.0, 1e9, 0.0, -1e9),
-            # a NaN side that max() and min() skip over in the bounds
-            (2.5, 1.4, math.nan, -1.2),
-            # NaN on the left: every sample turns NaN at its first step
-            (math.nan, 1.4, -0.5, -1.2),
-            # inf: the first step gives inf and then NaN coordinates
-            (math.inf, 1.4, -0.5, -1.2),
+            # finite, but a left step overflows: the squared norm turns inf
+            (1e200, 1.4, -0.5, -1.2),
         ]
         # 32 and 33 samples sit on either side of the scalar tail's size
         for case in cases:
@@ -162,8 +158,17 @@ class TestSampled:
             for budget in (0, 1, 2, 37, 10_000):
                 for n in (1, 32, 33, 100, 4000):
                     got = rho_sampled(params, n_samples=n, orbit_budget=budget, seed=5)
-                    want = per_step_rho(params, n, budget, 5)
+                    with np.errstate(over="ignore"):
+                        want = per_step_rho(params, n, budget, 5)
                     assert got == want, (case, budget, n)
+        # a NaN or an infinite side is refused before any sample runs
+        for case in [
+            (2.5, 1.4, math.nan, -1.2),
+            (math.nan, 1.4, -0.5, -1.2),
+            (math.inf, 1.4, -0.5, -1.2),
+        ]:
+            with pytest.raises(ValueError, match="finite"):
+                NormalForm2D(*case)
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_overflow_is_a_divergence_not_a_warning(self, n):

@@ -22,6 +22,7 @@ from conftest import (
     P3_EXPANDING,
     P3_EXPANDING_LAMBDA,
     PT_CONTRACT,
+    PT_CYCLING,
     PT_FOLD,
     PT_STABLE,
     PT_UNSTABLE,
@@ -53,7 +54,6 @@ from pwlstab.arcs import CYCLE_CHECK_EVERY, SUB_ACTION_ROUNDS
 from pwlstab.maps import HALF_PI
 from pwlstab.polygons import LAMBDA_POS_TOL
 from pwlstab.sphere import (
-    BLOCK_MEMO_MAX,
     MU_FLOOR_SLACK,
     N_BATCHES,
     _block_length,
@@ -65,9 +65,6 @@ from pwlstab.sphere import (
     word_orbits,
 )
 
-# Started at u(0.5), its 7th block of 16 steps starts from the float state
-# the 6th started from, and so does every later block.
-PT_CYCLING = (1.479, 0.35, -0.1, -1.5)
 # Block length 1 (one step may stretch by 1e7) and no float state repeats.
 PT_BLOCK_1 = (1.0, 1e7, 2.0, -1e7)
 # The cells of the 16x8 acceptance plane where the witness scan finds no
@@ -451,42 +448,21 @@ class TestBirkhoffMemo:
 
     @pytest.mark.parametrize("burn_in", [0, 1000])
     def test_matches_unmemoised_loop_after_switch_off(self, burn_in, advance_calls):
-        # n = 100 000 at PT_STABLE: over 3600 blocks of 28 steps no block
-        # repeats, so the first full memo generation has no hit and the
-        # memo is switched off for the rest of the orbit
+        # n = 100 000 at PT_STABLE: over 3600 blocks of 28 steps no batch
+        # starts from the float state of an earlier one, so every block runs
         params = NormalForm2D(*PT_STABLE)
         lambda_hat, std_error = unmemoised_lambda(params, u(0.5), 100_000, burn_in)
         advance_calls.clear()
         est = birkhoff_lambda(params, u(0.5), n=100_000, burn_in=burn_in)
         assert _block_length(params) == 28
         blocks = math.ceil(burn_in / 28) + 100 * math.ceil(1000 / 28)
-        assert len(advance_calls) == blocks > BLOCK_MEMO_MAX
+        assert len(advance_calls) == blocks
         assert same_float(est.lambda_hat, lambda_hat)
         assert same_float(est.std_error, std_error)
 
-    @pytest.mark.parametrize("memo_max, switched_off", [(4, True), (6, False)])
-    def test_generation_without_a_hit_switches_the_memo_off(
-        self, monkeypatch, advance_calls, memo_max, switched_off
-    ):
-        # PT_CYCLING's blocks repeat from the 7th on.  A 4-entry generation
-        # fills with blocks 1 to 4, none of them a hit, so every later block
-        # is computed; in a 6-entry one the 7th block hits, and the memo
-        # carries on into its next generation.  The steps run as burn-in,
-        # which the batch memo does not cover.
-        monkeypatch.setattr(sphere, "BLOCK_MEMO_MAX", memo_max)
-        birkhoff_lambda(NormalForm2D(*PT_CYCLING), u(0.5), n=1, burn_in=20_000)
-        blocks = 20_000 // 16 + 1
-        if switched_off:
-            assert len(advance_calls) == blocks
-        else:
-            assert len(advance_calls) < blocks // 100
-
-    def test_repeated_batches_are_not_recomputed(self, monkeypatch, advance_calls):
-        # with the block memo switched off (a 4-entry generation, see
-        # above) only the batch memo is left: PT_CYCLING's third batch of
-        # 13 blocks starts from the state its second did, and so does every
-        # later one
-        monkeypatch.setattr(sphere, "BLOCK_MEMO_MAX", 4)
+    def test_repeated_batches_are_not_recomputed(self, advance_calls):
+        # PT_CYCLING's third batch of 13 blocks starts from the state its
+        # second did, and so does every later one
         params = NormalForm2D(*PT_CYCLING)
         lambda_hat, std_error = unmemoised_lambda(params, u(0.5), 20_000, 0)
         advance_calls.clear()
@@ -496,11 +472,13 @@ class TestBirkhoffMemo:
         assert same_float(est.std_error, std_error)
 
     def test_repeated_blocks_are_not_recomputed(self, advance_calls):
+        # after 1000 steps of burn-in the orbit has settled: the second
+        # batch starts from the state the first did, so only the burn-in
+        # and the first batch run their blocks, against 63 + 100 * 13
         params = NormalForm2D(*PT_CYCLING)
         birkhoff_lambda(params, u(0.5), n=20_000, burn_in=1000)
-        blocks = math.ceil(1000 / 16) + 100 * math.ceil(200 / 16)
         assert _block_length(params) == 16
-        assert len(advance_calls) < blocks // 100
+        assert len(advance_calls) == math.ceil(1000 / 16) + math.ceil(200 / 16)
 
     def test_memo_memory_is_bounded(self):
         # 200 000 blocks of one step: with the memo never cleared the peak
