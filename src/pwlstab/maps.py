@@ -16,7 +16,11 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .errors import ZeroImageError
+
 CONTINUITY_TOL = 1e-12
+# A unit vector whose image is shorter than this counts as mapped to the origin.
+KERNEL_TOL = 1e-12
 HALF_PI = math.pi / 2.0  # angle of the planar form's switching ray x = 0
 
 # Orbit classification defaults: relative radius thresholds and step budget.
@@ -82,9 +86,9 @@ class NormalForm2D:
     individual analyses check their own regime requirements
     (``delta_L > 0 > delta_R`` for the sphere decomposition work).
 
-    ``step``, ``step_scalar``, ``advance`` and ``first_exit`` are the one
-    definition of the map's step (x, y) -> (tau x + y, -delta x) used by
-    the angular and sampled orbits: points with x <= 0 take the left pair
+    ``step``, ``step_scalar``, ``log_stretch`` and ``first_exit`` are the
+    one definition of the map's step (x, y) -> (tau x + y, -delta x) used
+    by the angular and sampled orbits: points with x <= 0 take the left pair
     (tau_L, delta_L), the rest (x > 0 or NaN) the right pair.  Both sides
     agree on x = 0 up to the sign of a zero.
 
@@ -131,19 +135,37 @@ class NormalForm2D:
         so both sides send it to the positive x-axis."""
         return np.where(theta == HALF_PI, 0.0, np.cos(theta)), np.sin(theta)
 
-    def advance(self, x: float, y: float, k: int) -> tuple[float, float]:
-        """k steps of ``step_scalar`` from one point, bit for bit, in one call."""
-        # negated once, outside the loop; negation is exact
+    def log_stretch(
+        self, x: float, y: float, steps: int, block: int
+    ) -> tuple[float, float, float]:
+        """``steps`` steps of the unit orbit from (x, y), with the sum of their ln D.
+
+        Runs ``step_scalar``'s arithmetic unnormalised for stretches of
+        ``block`` steps (the last may be shorter); after each one the log of
+        the norm joins the sum and the point is rescaled to unit length.  A
+        norm below KERNEL_TOL raises ``ZeroImageError``.  Returns (sum, x, y)
+        at the end; 0 steps return (0.0, x, y).
+        """
         tl, ndl, tr, ndr = self.tau_L, -self.delta_L, self.tau_R, -self.delta_R
-        for _ in range(k):
-            if x <= 0.0:
-                x, y = tl * x + y, ndl * x
-            else:
-                x, y = tr * x + y, ndr * x
-        return x, y
+        hypot, log = math.hypot, math.log
+        total = 0.0
+        while steps > 0:
+            k = block if steps > block else steps
+            steps -= k
+            for _ in range(k):
+                if x <= 0.0:
+                    x, y = tl * x + y, ndl * x
+                else:
+                    x, y = tr * x + y, ndr * x
+            d = hypot(x, y)
+            if d < KERNEL_TOL:
+                raise ZeroImageError("orbit hit the kernel of a side matrix")
+            total += log(d)
+            x, y = x / d, y / d
+        return total, x, y
 
     def first_exit(self, x: float, y: float, k: int, lo_sq: float, hi_sq: float) -> int:
-        """Where ``advance``'s orbit from one point first leaves [lo_sq, hi_sq].
+        """Where ``step_scalar``'s orbit from one point first leaves [lo_sq, hi_sq].
 
         Tests the squared norm after each of at most k steps and returns 1
         at the first one below lo_sq, -1 at the first one above hi_sq or

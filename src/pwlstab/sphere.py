@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import RegimeError, ZeroImageError
 from .maps import (
-    CONV_RADIUS, DIV_RADIUS, HALF_PI, ORBIT_BUDGET, NormalForm2D, PWLMap, eig2, eval_pwl,
+    CONV_RADIUS, DIV_RADIUS, HALF_PI, KERNEL_TOL, ORBIT_BUDGET, NormalForm2D, PWLMap, eig2,
+    eval_pwl,
 )
 
 EPS_ANGLE = 1e-9
@@ -114,8 +115,6 @@ class MeasureEstimate:
 
 
 N_BATCHES = 100
-# A unit vector whose image is shorter than this counts as mapped to the origin.
-KERNEL_TOL = 1e-12
 # Bounds on a block of unnormalised steps; see _block_length.
 BLOCK_MAX = 32
 BLOCK_GROWTH = 1e12
@@ -172,13 +171,14 @@ def birkhoff_lambda(
     """Average ln D over n steps of the sphere map started at direction z0.
 
     The sum telescopes: sum_{i<m} ln D(G^i z) = ln|g^m z| - ln|z|.  So the
-    orbit runs unnormalised for blocks of R steps (``NormalForm2D.advance``);
-    after each block one norm is taken, its log is added to the sum and the
-    vector is rescaled to unit length.  R comes from the side matrices
-    (``_block_length``): at most 32, and 1 when a single step may overflow
-    or shrink a unit vector below 1e-12.  A block norm below 1e-12 raises
-    ``ZeroImageError``, so the kernel check fires where a per-step check
-    would.
+    orbit runs unnormalised for blocks of R steps; after each block one norm
+    is taken, its log is added to the sum and the vector is rescaled to
+    unit length.  ``NormalForm2D.log_stretch`` runs that loop: one call for
+    the burn-in, one per batch that is run and one for the tail.  R comes
+    from the side matrices (``_block_length``): at most 32, and 1 when a
+    single step may overflow or shrink a unit vector below 1e-12.  A block
+    norm below 1e-12 raises ``ZeroImageError``, so the kernel check fires
+    where a per-step check would.
 
     Batches are memoised on the exact float state.  Every batch runs the
     same n // batches steps, so its sum and end state are a deterministic
@@ -190,7 +190,7 @@ def birkhoff_lambda(
     float states; one that repeats its state at a batch boundary skips
     every later batch, and most settled orbits do so from their first
     batch.  Burn-in, the n % batches tail and a float cycle longer than a
-    batch run block by block.  (+0.0 and -0.0 share a key; states that
+    batch are run in full.  (+0.0 and -0.0 share a key; states that
     differ only there differ only in the sign of zero coordinates, which no
     branch or norm reads.)
 
@@ -211,25 +211,8 @@ def birkhoff_lambda(
         raise ValueError("z0 must be nonzero")
     z = z / r
 
-    zx, zy = float(z[0]), float(z[1])
     block = _block_length(params)
-
-    def log_stretch(steps: int) -> float:
-        """Sum of ln D over the next ``steps`` steps of the unit orbit."""
-        nonlocal zx, zy
-        total = 0.0
-        while steps > 0:
-            k = min(block, steps)
-            wx, wy = params.advance(zx, zy, k)
-            d = math.hypot(wx, wy)
-            if d < KERNEL_TOL:
-                raise ZeroImageError("orbit hit the kernel of a side matrix")
-            total += math.log(d)
-            zx, zy = wx / d, wy / d
-            steps -= k
-        return total
-
-    log_stretch(burn_in)
+    _, zx, zy = params.log_stretch(float(z[0]), float(z[1]), burn_in, block)
     batches = min(N_BATCHES, n)
     size = n // batches
     # every batch runs `size` steps, so its sum and end state depend only on
@@ -240,11 +223,11 @@ def birkhoff_lambda(
         start = (zx, zy)
         hit = batch_memo.get(start)
         if hit is None:
-            total = log_stretch(size)
-            hit = batch_memo[start] = (total, zx, zy)
+            hit = batch_memo[start] = params.log_stretch(zx, zy, size, block)
         total, zx, zy = hit
         sums.append(total)
-    lambda_hat = math.fsum(sums + [log_stretch(n - batches * size)]) / n
+    tail, _, _ = params.log_stretch(zx, zy, n - batches * size, block)
+    lambda_hat = math.fsum(sums + [tail]) / n
     std_error = float("nan")
     if batches > 1:
         std_error = float(np.std(np.array(sums) / size, ddof=1) / math.sqrt(batches))

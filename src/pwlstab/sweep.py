@@ -9,6 +9,7 @@ results are bit-identical no matter how cells are scheduled across workers.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +55,9 @@ class GridSpec:
         for n, (lo, hi) in ((self.nx, self.tau_L_range), (self.ny, self.tau_R_range)):
             if not (lo <= hi) or (n > 1 and not lo < hi):
                 raise ValueError("parameter ranges must be non-degenerate")
+            # a finite width keeps both ends and every axis value finite
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValueError(f"parameter range width must be finite: {(lo, hi)!r}")
         if not (self.delta_L > 0.0 > self.delta_R):
             raise ValueError("sweeps require delta_L > 0 > delta_R")
 

@@ -316,6 +316,30 @@ class TestSweepCommand:
         assert values == {"1", "-1"}
         assert set(outs[0][1][len(b"P5\n3 2\n255\n"):]) == {0, 255}
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ["--tl-min", "-1.7e308", "--tl-max", "1.7e308", "--tr-min", "-1", "--tr-max", "0"],
+            ["--tl-min", "1", "--tl-max", "2", "--tr-min", "-1.7e308", "--tr-max", "1.7e308"],
+        ],
+        ids=["tau_L", "tau_R"],
+    )
+    def test_range_of_infinite_width_is_2_without_warning(self, ranges, tmp_path):
+        # both ends are finite, their difference overflows; under -W error a
+        # numpy overflow warning would end the run with a traceback and exit 1
+        out = tmp_path / "s.csv"
+        res = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pwlstab.cli", "sweep", "--mode", "measure",
+             *ranges, "--nx", "3", "--ny", "2", "--dl", "1.4", "--dr", "-1.2",
+             "--samples", "10", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: parameter range width must be finite")
+        assert "Warning" not in res.stderr
+        assert not out.exists()
+
 
 class TestReadme:
     def test_examples_print_what_they_show(self):

@@ -15,6 +15,7 @@ from pwlstab import (
     NormalForm2D,
     OrbitStatus,
     PWLMap,
+    ZeroImageError,
     eig2,
     eval_pwl,
     orbit,
@@ -142,18 +143,44 @@ class TestNormalFormStep:
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(p, **{field: bad})
 
-    @pytest.mark.parametrize("k", [1, 7, 32])
-    def test_advance_is_repeated_step_bit_for_bit(self, k):
+    @pytest.mark.parametrize(
+        "steps, block",
+        [(0, 32), (1, 1), (7, 32), (32, 32), (70, 32), (100, 7), (5, 1)],
+        ids=["none", "one", "short_only_block", "one_block", "short_last_block",
+             "short_last_of_15", "blocks_of_1"],
+    )
+    def test_log_stretch_is_repeated_step_bit_for_bit(self, steps, block):
         rng = np.random.default_rng(5)
         x = np.concatenate((rng.normal(size=200), [0.0, -0.0, 5e-324, -5e-324]))
         y = np.concatenate((rng.normal(size=200), [1.5, -2.5, 0.7, -0.3]))
         for a, b in zip(x.tolist(), y.tolist()):
-            sx, sy = a, b
-            for _ in range(k):
-                sx, sy = self.params.step_scalar(sx, sy)
+            total, sx, sy, left = 0.0, a, b, steps
+            while left > 0:
+                for _ in range(min(block, left)):
+                    sx, sy = self.params.step_scalar(sx, sy)
+                d = math.hypot(sx, sy)
+                total += math.log(d)
+                sx, sy, left = sx / d, sy / d, left - block
             # tobytes tells -0.0 from 0.0
-            got = np.array(self.params.advance(a, b, k)).tobytes()
-            assert got == np.array([sx, sy]).tobytes()
+            got = np.array(self.params.log_stretch(a, b, steps, block)).tobytes()
+            assert got == np.array([total, sx, sy]).tobytes()
+
+    @pytest.mark.parametrize(
+        "params, x, steps, block",
+        [
+            # the left side is nilpotent: (-1, 0) maps to the origin exactly
+            (NormalForm2D(0.0, 0.0, 2.0, -1.2), -1.0, 40, 1),
+            (NormalForm2D(0.0, 0.0, 2.0, -1.2), -1.0, 40, 32),
+            # the first image is 2.4e-13 long, below KERNEL_TOL, ending a
+            # block of one step and a short last block
+            (NormalForm2D(2.0, 1.4, -0.8, -1.2), -1e-13, 40, 1),
+            (NormalForm2D(2.0, 1.4, -0.8, -1.2), -1e-13, 1, 32),
+        ],
+        ids=["exact_zero_1", "exact_zero_32", "below_tol_1", "below_tol_short"],
+    )
+    def test_log_stretch_raises_at_the_kernel(self, params, x, steps, block):
+        with pytest.raises(ZeroImageError, match="kernel"):
+            params.log_stretch(x, 0.0, steps, block)
 
     def test_x_nonpositive_takes_left_pair(self):
         p = self.params

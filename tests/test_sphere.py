@@ -93,8 +93,8 @@ def u(theta: float) -> np.ndarray:
 
 
 def unmemoised_lambda(params, z0, n, burn_in):
-    """birkhoff_lambda's block loop with no memo: the reference that the
-    memoised loop must match exactly."""
+    """birkhoff_lambda's block loop with no memo, one ``step_scalar`` at a
+    time: the reference that the memoised loop must match exactly."""
     z = np.asarray(z0, dtype=float)
     z = z / float(np.linalg.norm(z))
     zx, zy = float(z[0]), float(z[1])
@@ -105,7 +105,9 @@ def unmemoised_lambda(params, z0, n, burn_in):
         total = 0.0
         while steps > 0:
             k = min(block, steps)
-            wx, wy = params.advance(zx, zy, k)
+            wx, wy = zx, zy
+            for _ in range(k):
+                wx, wy = params.step_scalar(wx, wy)
             d = math.hypot(wx, wy)
             total += math.log(d)
             zx, zy = wx / d, wy / d
@@ -434,55 +436,54 @@ class TestBirkhoffMemo:
         assert same_float(est.std_error, std_error)
 
     @pytest.fixture
-    def advance_calls(self, monkeypatch):
-        """The k of every ``NormalForm2D.advance`` call, in order."""
+    def stretch_steps(self, monkeypatch):
+        """The steps of every ``NormalForm2D.log_stretch`` call, in order."""
         calls = []
-        advance = NormalForm2D.advance
+        log_stretch = NormalForm2D.log_stretch
 
-        def counted(self, x, y, k):
-            calls.append(k)
-            return advance(self, x, y, k)
+        def counted(self, x, y, steps, block):
+            calls.append(steps)
+            return log_stretch(self, x, y, steps, block)
 
-        monkeypatch.setattr(NormalForm2D, "advance", counted)
+        monkeypatch.setattr(NormalForm2D, "log_stretch", counted)
         return calls
 
     @pytest.mark.parametrize("burn_in", [0, 1000])
-    def test_matches_unmemoised_loop_after_switch_off(self, burn_in, advance_calls):
+    def test_matches_unmemoised_loop_after_switch_off(self, burn_in, stretch_steps):
         # n = 100 000 at PT_STABLE: over 3600 blocks of 28 steps no batch
-        # starts from the float state of an earlier one, so every block runs
+        # starts from the float state of an earlier one, so every batch runs
         params = NormalForm2D(*PT_STABLE)
         lambda_hat, std_error = unmemoised_lambda(params, u(0.5), 100_000, burn_in)
-        advance_calls.clear()
+        stretch_steps.clear()
         est = birkhoff_lambda(params, u(0.5), n=100_000, burn_in=burn_in)
         assert _block_length(params) == 28
-        blocks = math.ceil(burn_in / 28) + 100 * math.ceil(1000 / 28)
-        assert len(advance_calls) == blocks
+        assert stretch_steps == [burn_in] + [1000] * 100 + [0]
         assert same_float(est.lambda_hat, lambda_hat)
         assert same_float(est.std_error, std_error)
 
-    def test_repeated_batches_are_not_recomputed(self, advance_calls):
-        # PT_CYCLING's third batch of 13 blocks starts from the state its
+    def test_repeated_batches_are_not_recomputed(self, stretch_steps):
+        # PT_CYCLING's third batch of 200 steps starts from the state its
         # second did, and so does every later one
         params = NormalForm2D(*PT_CYCLING)
         lambda_hat, std_error = unmemoised_lambda(params, u(0.5), 20_000, 0)
-        advance_calls.clear()
+        stretch_steps.clear()
         est = birkhoff_lambda(params, u(0.5), n=20_000, burn_in=0)
-        assert len(advance_calls) <= 2 * math.ceil(200 / 16)
+        assert stretch_steps == [0, 200, 200, 0]
         assert same_float(est.lambda_hat, lambda_hat)
         assert same_float(est.std_error, std_error)
 
-    def test_repeated_blocks_are_not_recomputed(self, advance_calls):
+    def test_repeated_blocks_are_not_recomputed(self, stretch_steps):
         # after 1000 steps of burn-in the orbit has settled: the second
         # batch starts from the state the first did, so only the burn-in
-        # and the first batch run their blocks, against 63 + 100 * 13
+        # and the first batch run, against 1000 + 100 * 200 steps
         params = NormalForm2D(*PT_CYCLING)
         birkhoff_lambda(params, u(0.5), n=20_000, burn_in=1000)
         assert _block_length(params) == 16
-        assert len(advance_calls) == math.ceil(1000 / 16) + math.ceil(200 / 16)
+        assert stretch_steps == [1000, 200, 0]
 
     def test_memo_memory_is_bounded(self):
-        # 200 000 blocks of one step: with the memo never cleared the peak
-        # is about 12.7 MB, with the 1024-entry clear about 0.24 MB
+        # 200 000 blocks of one step, and no float state repeats: the batch
+        # memo keeps at most 100 entries of three floats, about 5 kB at peak
         params = NormalForm2D(*PT_BLOCK_1)
         assert _block_length(params) == 1
         tracemalloc.start()

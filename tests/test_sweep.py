@@ -73,6 +73,22 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="delta"):
             GridSpec((0.0, 1.0), (0.0, 1.0), 2, 2, 1.4, 1.2)
 
+    @pytest.mark.parametrize(
+        "tau_L_range, tau_R_range, nx",
+        [
+            ((-1.7e308, 1.7e308), (-1.0, 0.0), 3),
+            ((1.0, 2.0), (np.float64(-1.7e308), np.float64(1.7e308)), 3),
+            ((1.0, math.inf), (-1.0, 0.0), 3),
+            ((-math.inf, -math.inf), (-1.0, 0.0), 1),
+        ],
+        ids=["tau_L_overflow", "tau_R_overflow_numpy", "inf_end", "inf_single"],
+    )
+    def test_rejects_a_range_of_infinite_width(self, tau_L_range, tau_R_range, nx):
+        # finite ends whose difference overflows would give an axis with inf
+        # and nan values, with numpy's overflow warnings on the way
+        with pytest.raises(ValueError, match="width must be finite"):
+            GridSpec(tau_L_range, tau_R_range, nx, 2, 1.4, -1.2)
+
 
 class TestMeasureSweep:
     def test_single_cell_matches_direct_call(self):
