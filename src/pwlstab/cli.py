@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--m-max", type=int, default=30, help="no effect; kept so that older command lines parse"
     )
-    sp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    sp.add_argument("--workers", type=int, default=1, help="parallel worker processes, at most "
+                    "one per CPU and per tau_L row; outputs do not depend on it")
     sp.set_defaults(func=_cmd_sweep)
 
     return p

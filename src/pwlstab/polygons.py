@@ -512,8 +512,9 @@ def _cycle_witness(params: NormalForm2D, cycle: np.ndarray, n: int) -> PeriodicO
     Arc i is on the right side (R) when i < n / 2.  The word is reduced to
     its primitive root, and only a root longer than WITNESS_P_MAX, which
     the Lyndon scan has not tried, and at most CYCLE_WORD_MAX long is
-    tested; its orbit needs lambda above LAMBDA_POS_TOL, and eigenvalues
-    that cannot give one are skipped by the same floor as the Lyndon scan.
+    tested, with its rotation products from ``rotation_products``; its
+    orbit needs lambda above LAMBDA_POS_TOL, and eigenvalues that cannot
+    give one are skipped by the same floor as the Lyndon scan.
     """
     word = (cycle < n // 2).astype(int).tolist()
     p = len(word)
@@ -523,8 +524,7 @@ def _cycle_witness(params: NormalForm2D, cycle: np.ndarray, n: int) -> PeriodicO
     root = word[:q]
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
     return _best_witness(word_orbits(
-        sides, root, rotation_products(sides, root), range(q),
-        eigenvalue_floor(q, LAMBDA_POS_TOL),
+        sides, root, rotation_products(sides, root), eigenvalue_floor(q, LAMBDA_POS_TOL)
     ))
 
 

@@ -44,7 +44,7 @@ class SphereMapEval:
 def sphere_eval(m: PWLMap, z: np.ndarray) -> SphereMapEval:
     """Evaluate D and G at a unit vector z (|z| must be 1 within 1e-9)."""
     z = np.asarray(z, dtype=float)
-    if abs(float(np.linalg.norm(z)) - 1.0) > 1e-9:
+    if not abs(float(np.linalg.norm(z)) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("sphere_eval expects a unit vector")
     w = eval_pwl(m, z)
     d = float(np.linalg.norm(w))
@@ -54,9 +54,12 @@ def sphere_eval(m: PWLMap, z: np.ndarray) -> SphereMapEval:
 
 
 def angle_of(p: np.ndarray) -> float:
-    """Angle in [0, pi) of a point in the closed upper half-plane; within
+    """Angle in [0, pi) of a finite point in the closed upper half-plane; within
     1e-12 rad below the x-axis, on either side of 0, counts as on it (angle 0)."""
-    a = math.atan2(float(p[1]), float(p[0]))
+    x, y = float(p[0]), float(p[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("point must be finite")
+    a = math.atan2(y, x)
     if -math.pi + 1e-12 < a < -1e-12:
         raise ValueError("point is not in the closed upper half-plane")
     return a if 0.0 < a < math.pi else 0.0
@@ -69,7 +72,7 @@ def _require_sign_regime(params: NormalForm2D) -> None:
 
 def _check_angles(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < -1e-12) or np.any(theta >= math.pi + 1e-12):
+    if not np.all((theta >= -1e-12) & (theta < math.pi + 1e-12)):  # NaN fails too
         raise ValueError("angles must lie in [0, pi)")
     return theta
 
@@ -206,6 +209,8 @@ def birkhoff_lambda(
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     z = np.asarray(z0, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("z0 must be finite")
     r = float(np.linalg.norm(z))
     if r == 0.0:
         raise ValueError("z0 must be nonzero")
@@ -595,22 +600,6 @@ def _lyndon_words(n_max: int):
             w.pop()
 
 
-@functools.lru_cache(maxsize=8)
-def _lyndon_rotations(p_max: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each binary Lyndon word of length <= p_max, with the ``_word_products``
-    row of each of its rotations: entry i for word[i:] + word[:i]."""
-    out = []
-    for word in _lyndon_words(p_max):
-        p = len(word)
-        bits = sum(s << k for k, s in enumerate(word))
-        mask = (1 << p) - 1
-        rows = tuple(
-            (1 << p) - 1 + ((bits >> i) | ((bits << (p - i)) & mask)) for i in range(p)
-        )
-        out.append((word, rows))
-    return tuple(out)
-
-
 def _word_table(cell_sides, p_max: int) -> np.ndarray:
     """Columns (ax, ay, bx, by) of the side-matrix product along every
     binary word of length <= p_max, for each cell's ``sides``: the images
@@ -637,11 +626,6 @@ def _word_table(cell_sides, p_max: int) -> np.ndarray:
         ys.append(y)
     (ax, bx), (ay, by) = np.concatenate(xs, axis=2), np.concatenate(ys, axis=2)
     return np.stack((ax, ay, bx, by))
-
-
-def _word_products(sides, p_max: int) -> tuple[list[float], ...]:
-    """``_word_table`` of one cell, as four lists (ax, ay, bx, by)."""
-    return tuple(_word_table([sides], p_max)[:, 0].tolist())
 
 
 def _eigenray(
@@ -706,17 +690,18 @@ def eigenvalue_floor(p: int, lambda_min: float) -> float:
         return math.inf
 
 
-def word_orbits(sides, word, products, rows, mu_min: float = 0.0) -> list[PeriodicOrbit]:
+def word_orbits(sides, word, products, mu_min: float = 0.0) -> list[PeriodicOrbit]:
     """The periodic ray orbits of G with itinerary ``word`` (0 = L, 1 = R).
 
     ``sides`` holds (tau, delta) of the left and right side.  ``products``
-    holds the columns (ax, ay, bx, by) of side-matrix products as four
-    lists, and entry rows[i] is the product along the word rotated to start
-    at symbol i.  Each eigenvalue mu of the word's product above ``mu_min``
-    gives a candidate: iterate i is the upper eigenray of rotation i for mu,
-    which must lie on the side that symbol i names, up to EPS_ANGLE past the
-    switching ray pi/2.  Each orbit is listed from its smallest angle, with
-    period len(word), which may be a multiple of its minimal period.
+    holds the columns (ax, ay, bx, by) of the word's rotation products as
+    four lists, entry i for word[i:] + word[:i] (``rotation_products``, or
+    a word's slice of the scan's rotation-ordered table).  Each eigenvalue
+    mu of the word's product above ``mu_min`` gives a candidate: iterate i
+    is the upper eigenray of rotation i for mu, which must lie on the side
+    that symbol i names, up to EPS_ANGLE past the switching ray pi/2.  Each
+    orbit is listed from its smallest angle, with period len(word), which
+    may be a multiple of its minimal period.
 
     An orbit's multiplier, the product of its D values, is mu up to the
     rounding of its eigenrays, so its lambda is ln(mu) / len(word).  The
@@ -726,9 +711,7 @@ def word_orbits(sides, word, products, rows, mu_min: float = 0.0) -> list[Period
     built.  A scan's ``_screen`` leaves out only words that this test surely fails.
     """
     p = len(word)
-    r = rows[0]
-    ax_w, ay_w, bx_w, by_w = products
-    ax, ay, bx, by = ax_w[r], ay_w[r], bx_w[r], by_w[r]
+    ax, ay, bx, by = (col[0] for col in products)
     half_tr = 0.5 * (ax + by)
     det = ax * by - bx * ay
     disc = half_tr * half_tr - det
@@ -743,8 +726,8 @@ def word_orbits(sides, word, products, rows, mu_min: float = 0.0) -> list[Period
             continue
         thetas: list[float] = []
         d_vals: list[float] = []
-        for s, r in zip(word, rows):
-            z = _eigenray(ax_w[r], ay_w[r], bx_w[r], by_w[r], mu)
+        for s, *rotation in zip(word, *products):
+            z = _eigenray(*rotation, mu)
             # z[0] is the cosine of the angle; both sides own the ray x = 0.
             if z is None or ((z[0] > EPS_ANGLE) if s == 0 else (z[0] < -EPS_ANGLE)):
                 break
@@ -764,28 +747,36 @@ SCREEN_MARGIN = 1e-9  # relative; ``_screen``'s squares and math.hypot differ by
 
 
 @functools.lru_cache(maxsize=8)
-def _scan_plan(p_max: int) -> tuple[np.ndarray, ...]:
-    """Per Lyndon word of length <= p_max its length and first rotation; per
-    rotation, end to end, its table row, whether it starts with L, its word."""
-    lyndon = _lyndon_rotations(p_max)
-    lengths = np.array([len(word) for word, _ in lyndon])
-    rot_rows = np.array([r for _, rows in lyndon for r in rows])
-    rot_left = np.array([s == 0 for word, _ in lyndon for s in word])
-    rot_word = np.repeat(np.arange(len(lyndon)), lengths)
-    return lengths, np.cumsum(lengths) - lengths, rot_rows, rot_left, rot_word
+def _scan_plan(p_max: int) -> tuple:
+    """The binary Lyndon words of length <= p_max, and the index arrays that
+    read them in rotation order: per word its length and the column of its
+    first rotation; per rotation, end to end (rotation i of a word is
+    word[i:] + word[:i]), its ``_word_table`` entry, whether it starts with
+    L, and its word's index."""
+    words = tuple(_lyndon_words(p_max))
+    lengths = np.array([len(word) for word in words])
+    rot_rows = np.array([
+        (1 << len(word)) - 1 + sum(s << k for k, s in enumerate(word[i:] + word[:i]))
+        for word in words for i in range(len(word))
+    ])
+    rot_left = np.array([s == 0 for word in words for s in word])
+    rot_word = np.repeat(np.arange(len(words)), lengths)
+    return words, lengths, np.cumsum(lengths) - lengths, rot_rows, rot_left, rot_word
 
 
-def _screen(table: np.ndarray, p_max: int, floors: np.ndarray) -> np.ndarray:
-    """Which (cell, Lyndon word) pairs of ``table`` may give an orbit in
-    ``word_orbits``, whose eigenvalues it takes bit for bit (``floors`` by
+def _screen(rot: np.ndarray, p_max: int, floors: np.ndarray) -> np.ndarray:
+    """Which (cell, Lyndon word) pairs may give an orbit in ``word_orbits``,
+    from the rotation-ordered table ``rot`` (``_word_table`` at the plan's
+    ``rot_rows``: a word's first rotation at its start, the others after
+    it).  The eigenvalues are ``word_orbits``'s bit for bit (``floors`` by
     length).  A word is dropped only when each eigenvalue above its floor
     has a rotation whose eigenray surely fails the side test: no row tie
     in ``_eigenray`` within SCREEN_MARGIN, and a cosine past EPS_ANGLE on
     the wrong side by that margin.  NaN, inf or |M - mu I| < 1e-100 keeps it."""
-    lengths, starts, rot_rows, rot_left, rot_word = _scan_plan(p_max)
+    _, lengths, starts, _, rot_left, rot_word = _scan_plan(p_max)
     wide = (1.0 + SCREEN_MARGIN) ** 2
     with np.errstate(all="ignore"):
-        ax, ay, bx, by = table[:, :, rot_rows[starts]]
+        ax, ay, bx, by = rot[:, :, starts]
         half_tr = 0.5 * (ax + by)
         det = ax * by - bx * ay
         disc = half_tr * half_tr - det
@@ -793,7 +784,7 @@ def _screen(table: np.ndarray, p_max: int, floors: np.ndarray) -> np.ndarray:
         mus = np.stack((mu1, det / mu1))
         live = ~(disc < 0.0) & ~(mus <= floors[lengths])
         e, c, r = np.nonzero(live[:, :, rot_word])  # rotations of live eigenvalues
-        ax, ay, bx, by = table[:, c, rot_rows[r]]
+        ax, ay, bx, by = rot[:, c, r]
         mu = mus[e, c, rot_word[r]]
         q0 = (ax - mu) * (ax - mu) + bx * bx
         q1 = ay * ay + (by - mu) * (by - mu)
@@ -812,7 +803,10 @@ def periodic_orbits_many(
     cells: list[NormalForm2D], p_max: int = 6, lambda_min: float | None = None
 ) -> list[list[PeriodicOrbit]]:
     """``periodic_orbits_G`` of each map in a nonempty list, from one word
-    table; ``_screen`` first drops the (cell, word) pairs that surely give none."""
+    table gathered into rotation order, so that each Lyndon word's rotations
+    sit side by side; ``_screen`` first drops the (cell, word) pairs that
+    surely give none, and each word kept goes to ``word_orbits`` with its
+    own slice of the table."""
     for params in cells:
         _require_sign_regime(params)
     if p_max < 1:
@@ -820,18 +814,18 @@ def periodic_orbits_many(
     sides = [((c.tau_L, c.delta_L), (c.tau_R, c.delta_R)) for c in cells]
     floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
               for p in range(p_max + 1)]
-    table = _word_table(sides, p_max)
-    lyndon = _lyndon_rotations(p_max)
-    keep = _screen(table, p_max, np.array(floors)).tolist()
+    words, _, starts, rot_rows, _, _ = _scan_plan(p_max)
+    rot = _word_table(sides, p_max)[:, :, rot_rows]
+    keep = _screen(rot, p_max, np.array(floors))
     out = []
     for c, kept in enumerate(keep):
-        words = [word for word, k in zip(lyndon, kept) if k]
-        products = table[:, c].tolist() if words else None
         orbits: list[PeriodicOrbit] = []
         listed: dict[int, list[tuple[float, ...]]] = {}  # orbit angles by period
-        for word, rows in words:
+        for w in np.flatnonzero(kept).tolist():
+            word, start = words[w], starts[w]
             p = len(word)
-            for orbit in word_orbits(sides[c], word, products, rows, floors[p]):
+            products = rot[:, c, start : start + p].tolist()
+            for orbit in word_orbits(sides[c], word, products, floors[p]):
                 thetas = orbit.thetas
                 if any(p % q == 0 and _same_angles(thetas, thetas[q:] + thetas[:q])
                        for q in range(1, p)):
@@ -858,9 +852,10 @@ def periodic_orbits_G(
     through ``word_orbits``.  Each iterate is the eigenvector of the product
     along the word rotated to start there: following the orbit forward would
     amplify rounding along orbits that repel on the circle.  The products of
-    all words of length <= p_max are built once per call (``_word_table``),
-    so each word and each rotation is one table lookup; the table has
-    2^(p_max + 1) - 1 entries.  This is ``periodic_orbits_many`` of one map.
+    all words of length <= p_max are built once per call (``_word_table``,
+    2^(p_max + 1) - 1 entries) and gathered once into rotation order, so
+    each word's rotation products are one slice.  This is
+    ``periodic_orbits_many`` of one map.
 
     A ray within EPS_ANGLE of the switching ray pi/2 may take either symbol,
     so one orbit can match several words, and a word can trace an orbit of

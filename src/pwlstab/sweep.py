@@ -10,6 +10,7 @@ results are bit-identical no matter how cells are scheduled across workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -137,13 +138,14 @@ def _cells(rows, spec: GridSpec, workers: int) -> list[list]:
     """``rows(spec, row_indices)`` over the grid's tau_L rows, in order;
     worker k takes rows k, k + workers, ... as one task.
 
-    The pool holds at most one process per row: a fork-based pool starts
-    all of its processes up front, whether or not they get work.
+    The pool holds at most one process per row and per CPU (one, if the
+    CPU count is unknown): a fork-based pool starts all of its processes
+    up front, whether or not they get work.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     task = partial(rows, spec)
-    workers = min(workers, spec.nx)
+    workers = min(workers, spec.nx, os.cpu_count() or 1)
     if workers == 1:
         return task(range(spec.nx))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -57,8 +57,8 @@ from pwlstab.sphere import (
     MU_FLOOR_SLACK,
     N_BATCHES,
     _block_length,
-    _lyndon_rotations,
-    _word_products,
+    _lyndon_words,
+    _scan_plan,
     _word_table,
     eigenvalue_floor,
     rotation_products,
@@ -146,6 +146,10 @@ class TestSphereEval:
         m = NormalForm2D(*PT_FOLD).pwl()
         with pytest.raises(ValueError):
             sphere_eval(m, np.array([1.0, 1.0]))
+        for bad in (math.nan, math.inf, -math.inf):
+            for z in ([bad, 0.0], [0.0, bad], [bad, bad]):
+                with pytest.raises(ValueError, match="unit vector"):
+                    sphere_eval(m, np.array(z))
 
     def test_zero_image_error(self):
         from pwlstab import PWLMap
@@ -166,6 +170,10 @@ class TestSphereEval:
         assert angle_of(np.array([1.0, -1e-13])) == 0.0
         with pytest.raises(ValueError):
             angle_of(np.array([0.0, -1.0]))
+        for bad in (math.nan, math.inf, -math.inf):
+            for p in ([bad, 1.0], [1.0, bad], [bad, bad]):
+                with pytest.raises(ValueError, match="finite"):
+                    angle_of(np.array(p))
 
 
 class TestCircleMaps:
@@ -206,6 +214,14 @@ class TestCircleMaps:
             circle_G(params, -0.1)
         with pytest.raises(ValueError):
             circle_D(params, math.pi + 0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            for theta in (bad, np.array([0.3, bad])):
+                with pytest.raises(ValueError, match="angles"):
+                    circle_G(params, theta)
+                with pytest.raises(ValueError, match="angles"):
+                    circle_D(params, theta)
+            with pytest.raises(ValueError, match="angles"):
+                histogram_G(params, theta0=bad, n=10)
 
     def test_regime_enforced_for_G(self):
         with pytest.raises(RegimeError):
@@ -342,6 +358,15 @@ class TestBirkhoff:
     def test_rejects_negative_burn_in(self):
         with pytest.raises(ValueError, match="burn_in"):
             birkhoff_lambda(NormalForm2D(*PT_STABLE), u(0.3), n=10, burn_in=-5)
+
+    def test_rejects_a_zero_or_non_finite_start(self):
+        params = NormalForm2D(*PT_STABLE)
+        with pytest.raises(ValueError, match="nonzero"):
+            birkhoff_lambda(params, [0.0, 0.0], n=10)
+        for bad in (math.nan, math.inf, -math.inf):
+            for z0 in ([bad, 0.0], [1.0, bad]):
+                with pytest.raises(ValueError, match="finite"):
+                    birkhoff_lambda(params, z0, n=10)
 
     def test_block_length_follows_side_bounds(self):
         # PT_STABLE: the left bound sqrt(6.96) reaches 1e12 between 28 and 29 steps
@@ -589,7 +614,8 @@ class TestPeriodicOrbits:
         # matrices, multiplied out entry by entry
         params = NormalForm2D(*pt)
         sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-        ax, ay, bx, by = _word_products(sides, 8)
+        table = _word_table([sides], 8)
+        ax, ay, bx, by = table[:, 0].tolist()
 
         def row(word):
             return (1 << len(word)) - 1 + sum(s << k for k, s in enumerate(word))
@@ -606,12 +632,22 @@ class TestPeriodicOrbits:
                     )
                 r = row(word)
                 assert (ax[r], ay[r], bx[r], by[r]) == (m[0][0], m[1][0], m[0][1], m[1][1])
-        for word, rows in _lyndon_rotations(8):
-            assert rows == tuple(row(word[i:] + word[:i]) for i in range(len(word)))
-            # the products of a cycle word's rotations, built all at once,
-            # equal the table's entries bit for bit
+        # the scan's plan reads each Lyndon word's rotations side by side:
+        # rotation i, word[i:] + word[:i], at column start + i
+        words, lengths, starts, rot_rows, rot_left, rot_word = _scan_plan(8)
+        assert words == tuple(_lyndon_words(8))
+        assert starts.tolist() == [sum(map(len, words[:w])) for w in range(len(words))]
+        assert len(rot_rows) == sum(lengths) == sum(map(len, words))
+        rot = table[:, 0, rot_rows]
+        for w, (word, start) in enumerate(zip(words, starts.tolist())):
+            cols = slice(start, start + len(word))
+            assert rot_rows[cols].tolist() == [row(word[i:] + word[:i]) for i in range(len(word))]
+            assert rot_left[cols].tolist() == [s == 0 for s in word]
+            assert rot_word[cols].tolist() == [w] * len(word)
+            # the products of a word's rotations, built all at once, equal
+            # the rotation-ordered table's slice bit for bit
             got = rotation_products(sides, word)
-            assert got == tuple([col[r] for r in rows] for col in (ax, ay, bx, by))
+            assert np.array(got).tobytes() == rot[:, cols].tobytes()
 
     def test_floored_scan_keeps_every_expanding_orbit(self):
         # the 16x8 acceptance plane, wide draws with tau_L < 0 too, and the
@@ -642,17 +678,17 @@ class TestPeriodicOrbits:
         # the floor's slack, worst case included
         params = NormalForm2D(*PT_ILL_CONDITIONED)
         sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-        products = _word_products(sides, 8)
         gaps = []
-        for word, rows in _lyndon_rotations(8):
-            ax, ay, bx, by = (col[rows[0]] for col in products)
+        for word in _lyndon_words(8):
+            products = rotation_products(sides, word)
+            ax, ay, bx, by = (col[0] for col in products)
             half_tr, det = 0.5 * (ax + by), ax * by - bx * ay
             if half_tr * half_tr < det:
                 continue
             # the eigenvalues as word_orbits compares them with its floor
             mu1 = half_tr + math.copysign(math.sqrt(half_tr * half_tr - det), half_tr)
             mus = [m for m in (mu1, det / mu1) if m > 0.0]
-            for orbit in word_orbits(sides, word, products, rows):
+            for orbit in word_orbits(sides, word, products):
                 gaps.append(min(abs(orbit.multiplier / mu - 1.0) for mu in mus))
         assert len(gaps) == 18
         assert 1e-6 < max(gaps) <= MU_FLOOR_SLACK / 100
@@ -669,16 +705,17 @@ class TestPeriodicOrbits:
 
 def per_cell_scan(params, p_max, lambda_min):
     """The witness scan as written before cells were batched: every Lyndon
-    word of one cell goes through ``word_orbits``, with no screen."""
+    word of one cell goes through ``word_orbits``, with no screen, and with
+    the word's products from ``rotation_products``, not from the scan's
+    rotation-ordered table."""
     sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
-    products = _word_products(sides, p_max)
     floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
               for p in range(p_max + 1)]
     out = []
     listed = {}  # orbit angles by period
-    for word, rows in _lyndon_rotations(p_max):
+    for word in _lyndon_words(p_max):
         p = len(word)
-        for orbit in word_orbits(sides, word, products, rows, floors[p]):
+        for orbit in word_orbits(sides, word, rotation_products(sides, word), floors[p]):
             thetas = orbit.thetas
             if any(p % q == 0 and sphere._same_angles(thetas, thetas[q:] + thetas[:q])
                    for q in range(1, p)):
@@ -732,22 +769,22 @@ class TestBatchedScan:
         cells = scan_cells()
         floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
                   for p in range(9)]
-        lyndon = _lyndon_rotations(8)
+        words, _, starts, rot_rows, _, _ = _scan_plan(8)
         dropped = 0
         for start in range(0, len(cells), 16):
             batch = cells[start : start + 16]
             sides = [((c.tau_L, c.delta_L), (c.tau_R, c.delta_R)) for c in batch]
-            table = _word_table(sides, 8)
-            keep = sphere._screen(table, 8, np.array(floors))
+            rot = _word_table(sides, 8)[:, :, rot_rows]
+            keep = sphere._screen(rot, 8, np.array(floors))
             for c in range(len(batch)):
-                products = table[:, c].tolist()
                 for w in np.flatnonzero(~keep[c]):
-                    word, rows = lyndon[w]
-                    orbits = word_orbits(sides[c], word, products, rows, floors[len(word)])
+                    word, cols = words[w], slice(starts[w], starts[w] + len(words[w]))
+                    orbits = word_orbits(sides[c], word, rot[:, c, cols].tolist(),
+                                         floors[len(word)])
                     assert orbits == [], (batch[c], word)
             dropped += int((~keep).sum())
         # the screen does drop most words
-        assert dropped > 0.7 * len(cells) * len(lyndon)
+        assert dropped > 0.7 * len(cells) * len(words)
 
     @pytest.mark.parametrize("lambda_min", [None, LAMBDA_POS_TOL], ids=["all", "floored"])
     def test_screen_keeps_the_same_words_for_a_cell_alone(self, lambda_min):
@@ -763,15 +800,17 @@ class TestBatchedScan:
         cells += [PT_FOLD, PT_STABLE, PT_UNSTABLE, PT_CONTRACT]
         floors = np.array([0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
                            for p in range(9)])
+        rot_rows = _scan_plan(8)[3]
         for start in range(0, len(cells), 16):
             sides = [((tl, dl), (tr, dr)) for tl, dl, tr, dr in cells[start : start + 16]]
-            keep = sphere._screen(_word_table(sides, 8), 8, floors)
+            keep = sphere._screen(_word_table(sides, 8)[:, :, rot_rows], 8, floors)
             for c in range(len(sides)):
-                alone = sphere._screen(_word_table(sides[c : c + 1], 8), 8, floors)
+                alone = sphere._screen(_word_table(sides[c : c + 1], 8)[:, :, rot_rows], 8, floors)
                 assert alone.tolist() == [keep[c].tolist()], cells[start + c]
 
     def test_screen_keeps_a_ray_within_its_margin(self):
-        # a table of words up to length 1: L = [[0.5, b], [0, 2]] has the
+        # a rotation-ordered table of words up to length 1, L then R (each
+        # word is its own only rotation): L = [[0.5, b], [0, 2]] has the
         # eigenvalue 2 on the ray of cosine c just right of pi/2, and R is a
         # rotation.  At c = EPS_ANGLE (1 - 1e-11) the exact test gives L an
         # orbit; at c = EPS_ANGLE (1 + 1e-11) it does not, but c is within
@@ -780,11 +819,11 @@ class TestBatchedScan:
         orbits = []
         for c in (sphere.EPS_ANGLE * (1 - 1e-11), sphere.EPS_ANGLE * (1 + 1e-11)):
             b = 1.5 * c / math.sqrt(1.0 - c * c)
-            # rows ax, ay, bx, by; entries: the empty word, L, R
-            table = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, b, -1.0], [1.0, 2.0, 0.0]])
-            keep = sphere._screen(table[:, None], 1, np.zeros(2))
+            # rows ax, ay, bx, by; entries: L, R
+            rot = np.array([[0.5, 0.0], [0.0, 1.0], [b, -1.0], [2.0, 0.0]])
+            keep = sphere._screen(rot[:, None], 1, np.zeros(2))
             assert keep.tolist() == [[True, False]]
-            orbits.append(word_orbits(sides, (0,), table.tolist(), (1,)))
+            orbits.append(word_orbits(sides, (0,), rot[:, :1].tolist()))
         assert len(orbits[0]) == 1 and orbits[1] == []
         assert orbits[0][0].thetas[0] == pytest.approx(math.pi / 2, abs=sphere.EPS_ANGLE)
 

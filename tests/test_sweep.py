@@ -110,7 +110,8 @@ class TestMeasureSweep:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.undecided, b.undecided)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # two processes on any machine
         spec = GridSpec((1.0, 2.0), (-1.0, 0.0), 2, 2, 1.4, -1.2)
         serial = sweep_measure(spec, samples_per_cell=200, base_seed=4, workers=1)
         forked = sweep_measure(spec, samples_per_cell=200, base_seed=4, workers=2)
@@ -164,7 +165,8 @@ class TestWorkers:
         monkeypatch.setattr(FakePool, "sizes", [])
         return FakePool.sizes
 
-    def test_pool_has_at_most_one_process_per_row(self, pool_sizes):
+    def test_pool_has_at_most_one_process_per_row(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)  # more CPUs than rows
         serial = sweep_measure(self.SPEC, samples_per_cell=20, base_seed=2)
         assert pool_sizes == []
         for workers, size in ((5000, 4), (4, 4), (3, 3), (2, 2)):
@@ -173,6 +175,28 @@ class TestWorkers:
             assert np.array_equal(res.values, serial.values)
         sweep_asymptotic(self.SPEC, workers=5000)
         assert pool_sizes[-1] == 4
+
+    # 64 rows of one cell each
+    TALL = GridSpec((0.5, 2.0), (-0.8, -0.8), 64, 1, 1.4, -1.2)
+
+    def test_pool_has_at_most_one_process_per_cpu(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 6)
+        serial = sweep_measure(self.TALL, samples_per_cell=20, base_seed=2)
+        assert pool_sizes == []
+        res = sweep_measure(self.TALL, samples_per_cell=20, base_seed=2, workers=10**6)
+        assert pool_sizes == [6]
+        assert np.array_equal(res.values, serial.values)
+        assert np.array_equal(res.undecided, serial.undecided)
+        sweep_asymptotic(self.TALL, workers=10**6)
+        assert pool_sizes == [6, 6]
+
+    def test_unknown_cpu_count_runs_without_a_pool(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        serial = sweep_measure(self.TALL, samples_per_cell=20, base_seed=2)
+        res = sweep_measure(self.TALL, samples_per_cell=20, base_seed=2, workers=10**6)
+        assert np.array_equal(res.values, serial.values)
+        sweep_asymptotic(self.TALL, workers=4)
+        assert pool_sizes == []
 
     def test_single_row_runs_without_a_pool(self, pool_sizes):
         sweep_asymptotic(spec1(2.0, -0.8), workers=8)
@@ -203,7 +227,8 @@ class TestAsymptoticSweep:
         res = sweep_asymptotic(spec1(1.4, -1.4))
         assert res.values[0, 0] == -1
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # two processes on any machine
         spec = GridSpec((0.5, 2.0), (-0.8, -0.2), 2, 2, 1.4, -1.2)
         serial = sweep_asymptotic(spec, workers=1)
         forked = sweep_asymptotic(spec, workers=2)
@@ -239,7 +264,8 @@ class TestAsymptoticSweep:
             stable = ga92(params).status is CertificateStatus.STABLE
             assert res.values[i, j] == (1 if stable else -1)
 
-    def test_ragged_grid_is_the_same_at_any_worker_count(self, tmp_path):
+    def test_ragged_grid_is_the_same_at_any_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)  # three processes on any machine
         outputs = set()
         for workers in (1, 2, 3):
             res = sweep_asymptotic(self.RAGGED, workers=workers)
