@@ -44,7 +44,9 @@ class SphereMapEval:
 def sphere_eval(m: PWLMap, z: np.ndarray) -> SphereMapEval:
     """Evaluate D and G at a unit vector z (|z| must be 1 within 1e-9)."""
     z = np.asarray(z, dtype=float)
-    if not abs(float(np.linalg.norm(z)) - 1.0) <= 1e-9:  # NaN fails too
+    with np.errstate(over="ignore"):  # an overflow to inf fails, as NaN does
+        r = float(np.linalg.norm(z))
+    if not abs(r - 1.0) <= 1e-9:
         raise ValueError("sphere_eval expects a unit vector")
     w = eval_pwl(m, z)
     d = float(np.linalg.norm(w))
@@ -211,6 +213,11 @@ def birkhoff_lambda(
     z = np.asarray(z0, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("z0 must be finite")
+    # a start far from unit length is first scaled by an exact power of
+    # two, so that its norm neither overflows nor underflows
+    big = float(np.max(np.abs(z), initial=0.0))
+    if big and not 2.0**-500 <= big <= 2.0**500:
+        z = np.ldexp(z, -math.frexp(big)[1])
     r = float(np.linalg.norm(z))
     if r == 0.0:
         raise ValueError("z0 must be nonzero")
@@ -465,21 +472,26 @@ def rho_sampled(
     run without the exit test.  One step stretches a vector by at most
     grow and at least shrink (``_stretch_bounds``), each padded here by
     1e-9 relative so that they also bound the rounded step.  After each
-    test, with squared norms in [q_min, q_max] left, the next
+    test that finds no exit, with squared norms in [q_min, q_max], the next
     j = min(floor(ln(q_min / C^2) / (-2 ln shrink)),
     floor(ln(D^2 / q_max) / (2 ln grow)), steps left - 1)
-    steps run untested, then one tested step; j = 0 when shrink = 0.
-    Every sample still exits at the step where a test on every step would
-    catch it, so the estimate is the same as with no skipping.
+    steps run untested, then one tested step; j = 0 when shrink = 0, and
+    after a test with exits.  Every sample still exits at the step where a
+    test on every step would catch it, so the estimate is the same as with
+    no skipping.
 
     A tested step reads only the extremes q_min and q_max, which the skip
     needs anyway, as ``np.minimum.reduce`` and ``np.maximum.reduce`` (the
     ``min``/``max`` methods add a Python-level wrapper per call).  Only
     when q_min < CONV_RADIUS^2, q_max > DIV_RADIUS^2 or a NaN (which makes
-    q_min NaN) shows that some sample left does the loop count the
-    converged ones and drop the exits; with none out, that would drop
-    nothing.  Once at most _SCALAR_TAIL samples are alive, numpy's
-    per-call overhead would outweigh the work, so each finishes alone in
+    both NaN) shows that some sample left does the loop drop the exits, and
+    it drops only the side that was crossed: with q_max in the band every
+    sample dropped converged, and with q_min in the band none did.  Both
+    sides, or a NaN, take the full mask and a count of the converged.
+    The survivors' extremes are not read: q_min or q_max still lies
+    outside the band, so the next step is tested and reads fresh ones.
+    Once at most _SCALAR_TAIL samples are alive, numpy's per-call
+    overhead would outweigh the work, so each finishes alone in
     ``NormalForm2D.first_exit``, tested on every step for the steps left.
     That is the same step on the same floats with the same two comparisons,
     so each sample exits at the same step with the same class.
@@ -514,7 +526,9 @@ def rho_sampled(
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0 and x.size > _SCALAR_TAIL:
             skip = 0
-            if shrink_rate > 0.0:
+            # after a step with exits lo or hi lies outside the band, so
+            # the next step is tested
+            if shrink_rate > 0.0 and conv_sq <= lo and hi <= div_sq:
                 skip = min(
                     math.floor(math.log(lo / conv_sq) / shrink_rate),
                     math.floor(math.log(div_sq / hi) / grow_rate),
@@ -526,13 +540,25 @@ def rho_sampled(
             left -= skip + 1
             sq = x * x + y * y
             lo, hi = float(vmin(sq)), float(vmax(sq))
-            # a NaN anywhere makes lo NaN, which fails the test
-            if not (lo >= conv_sq and hi <= div_sq):
-                alive = (sq >= conv_sq) & (sq <= div_sq)
+            # a NaN anywhere makes both lo and hi NaN, which fails all
+            # three tests below
+            if lo >= conv_sq and hi <= div_sq:
+                continue
+            if hi <= div_sq:
+                # convergences only: every sample dropped converged
+                keep = sq >= conv_sq
+                n_conv += x.size
+                x, y = x[keep], y[keep]
+                n_conv -= x.size
+            elif lo >= conv_sq:
+                # divergences only
+                keep = sq <= div_sq
+                x, y = x[keep], y[keep]
+            else:
+                # both sides, or a NaN
+                keep = (sq >= conv_sq) & (sq <= div_sq)
                 n_conv += int(np.count_nonzero(sq < conv_sq))
-                x, y, sq = x[alive], y[alive], sq[alive]
-                if x.size:
-                    lo, hi = float(vmin(sq)), float(vmax(sq))
+                x, y = x[keep], y[keep]
     n_alive = x.size
     if left > 0:
         for x0, y0 in zip(x.tolist(), y.tolist()):

@@ -151,6 +151,8 @@ class TestSampled:
             (0.0, 1e9, 0.0, -1e9),
             # finite, but a left step overflows: the squared norm turns inf
             (1e200, 1.4, -0.5, -1.2),
+            # past the fold, samples converge and diverge in the same tested step
+            (3.0, 1.4, -0.5, -1.2),
         ]
         # 32 and 33 samples sit on either side of the scalar tail's size
         for case in cases:

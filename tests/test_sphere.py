@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,11 @@ class TestSphereEval:
             for z in ([bad, 0.0], [0.0, bad], [bad, bad]):
                 with pytest.raises(ValueError, match="unit vector"):
                     sphere_eval(m, np.array(z))
+        # a norm that overflows is refused, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unit vector"):
+                sphere_eval(m, np.array([1e200, 0.0]))
 
     def test_zero_image_error(self):
         from pwlstab import PWLMap
@@ -367,6 +373,19 @@ class TestBirkhoff:
             for z0 in ([bad, 0.0], [1.0, bad]):
                 with pytest.raises(ValueError, match="finite"):
                     birkhoff_lambda(params, z0, n=10)
+
+    def test_start_far_from_unit_length(self):
+        # a huge or tiny finite start is scaled by a power of two before its
+        # norm is taken, so the norm neither overflows nor underflows
+        params = NormalForm2D(*PT_STABLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = birkhoff_lambda(params, [0.6, 0.8], n=1000)
+            for k in (1020, -1000):
+                assert birkhoff_lambda(params, np.ldexp([0.6, 0.8], k), n=1000) == want
+            assert birkhoff_lambda(params, [1e-320, 0.0], n=1000) == birkhoff_lambda(
+                params, [1.0, 0.0], n=1000
+            )
 
     def test_block_length_follows_side_bounds(self):
         # PT_STABLE: the left bound sqrt(6.96) reaches 1e12 between 28 and 29 steps
