@@ -1,10 +1,12 @@
-"""The arc graph of the circle map G over [0, pi), and a sub-action on it.
+"""The arc graph of the circle map G over [0, pi), and sub-actions on it.
 
 The graph is the symbolic image of G (Osipenko, LNM 1889, 2007).  A
 sub-action on it bounds the integral of ln D over every invariant measure of
 G (ergodic optimisation, Jenkinson 2019); a cycle of positive weight shows
-that none exists.  Imports only ``maps`` and ``errors``, so that every other
-layer can build on it.
+that none exists.  The same solver, run on the absorbing sector with upper
+or lower bounds of ln D, gives the sign of growth there (``sector_sign``).
+Imports only ``maps`` and ``errors``, so that every other layer can build
+on it.
 """
 
 from __future__ import annotations
@@ -104,6 +106,81 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     max v + (1 + T) exp(-min w)) on every arc proves it.  Exact arithmetic
     gives s_i >= eta + ln cos(pi / 2n), 7.06e-7 at n = 2048.
     """
+    edges, w, _, lo, hi = _arc_graph(params, n_arcs)
+    eta = SUB_ACTION_ETA
+    v, top, rounds, cycle = _fixed_point(w + eta, lo, hi)
+    if v is None:
+        return SubAction(edges, w, lo, hi, None, rounds, eta, cycle)
+    slack = math.log(math.cos(math.pi / (2 * n_arcs))) - (w + top - v)
+    t = max(abs(params.tau_L), abs(params.tau_R))
+    margin = 2.0**-50 * (2.0 + np.abs(w).max() + v.max() + (1.0 + t) * np.exp(-w.min()))
+    return SubAction(edges, w, lo, hi, v, rounds, eta, slack=slack, slack_margin=float(margin))
+
+
+def sector_sign(params: NormalForm2D) -> int | None:
+    """Whether the orbits in the sector [0, theta_Lambda] contract (1) or
+    expand (0); None when neither is certified.
+
+    theta_Lambda = G(0) is read through ``step_scalar``.  G is continuous on
+    [0, pi), so the forward closure in the arc graph of the arcs that meet
+    [0, theta_Lambda] (padded by ARC_PAD) is the arcs 0 .. K, with K the
+    smallest index at or past the sector's last arc such that hi[i] <= K
+    for every i <= K; so no arc of it has a successor outside.
+    On that subgraph a fixed point of ``_fixed_point`` with base w + eta
+    is a sub-action, and with base -w_lo + eta a super-action:
+    v_i >= -w_lo_i + eta + max v[lo_i .. hi_i] sums along every orbit to a
+    sum of ln D over t steps of at least eta t - max v, so every orbit in
+    the sector expands.  Tried at n = 256 arcs and then 2048: no chord
+    term enters, since the claim is about orbits, not a region.
+
+    Rounding, with u = 2^-53 and T = max(|tau_L|, |tau_R|): ``sub_action``
+    bounds W_i - w_i by 5u + 4u (T + 1) exp(-w_i) + 2u |w_i|, and the same
+    holds for w_lo_i - W_lo_i with W_lo_i the exact minimum of ln D, save
+    that the trough's quotient errs by 12u of itself (6u in ln D).  So w
+    takes the margin m_i = 2^-50 (2 + |w_i| + (1 + T) exp(-w_i)) up, and
+    w_lo its own m_i down; m_i also covers the rounding of the base's two
+    sums.  At a fixed point each v_i = max(0, fl(base_i + top_i)), which
+    errs by at most u (|base_i| + max v), so 2^-52 (max |base| + max v + 1)
+    < eta / 2 leaves a decay (or growth) of eta / 2 per step in exact
+    arithmetic.  A cycle of positive weight stops the run as in
+    ``sub_action``; that bound carries over to any base.
+    """
+    x, y = params.step_scalar(1.0, 0.0)
+    theta_lambda = math.atan2(y, x)
+    t = max(abs(params.tau_L), abs(params.tau_R))
+    eta = SUB_ACTION_ETA
+
+    def pad(lnd):
+        return 2.0**-50 * (2.0 + np.abs(lnd) + (1.0 + t) * np.exp(-lnd))
+
+    for n_arcs in (256, 2048):
+        # a huge tau overflows D^2, and a base that is not finite certifies nothing
+        with np.errstate(all="ignore"):
+            edges, w, w_lo, lo, hi = _arc_graph(params, n_arcs)
+            k = min(int(np.searchsorted(edges, theta_lambda + ARC_PAD, "right")), n_arcs) - 1
+            reach = np.maximum.accumulate(hi)
+            while reach[k] > k:
+                k = int(reach[k])
+            w, w_lo, lo, hi = w[: k + 1], w_lo[: k + 1], lo[: k + 1], hi[: k + 1]
+            bases = ((1, w + pad(w) + eta), (0, eta - (w_lo - pad(w_lo))))
+        for sign, base in bases:
+            if not np.isfinite(base).all():
+                continue
+            v = _fixed_point(base, lo, hi)[0]
+            if v is not None and 2.0**-52 * (np.abs(base).max() + v.max() + 1.0) < 0.5 * eta:
+                return sign
+    return None
+
+
+def _arc_graph(params: NormalForm2D, n_arcs: int):
+    """The arc graph of ``sub_action``: (edges, w, w_lo, lo, hi).
+
+    w_lo[i] bounds ln D from below on arc i, as w[i] bounds it from above.
+    On one side the minimum of D^2 lies at an arc end, or at the trough t* +
+    pi/2, where D^2 is delta^2 over the peak value: the two are the squared
+    singular values of the side matrix, whose product is delta^2.  An
+    underflow of that quotient to 0 gives w_lo = -inf, a bound that holds.
+    """
     if not params.in_sign_regime:
         raise RegimeError("requires delta_L > 0 and delta_R < 0")
     if n_arcs < 2 or n_arcs % 2:
@@ -117,6 +194,7 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     d2 = x * x + y * y
 
     d2_max = np.maximum(d2[:-1], d2[1:])
+    d2_min = np.minimum(d2[:-1], d2[1:])
     for tau, delta, arcs in (
         (params.tau_R, params.delta_R, slice(0, half)),
         (params.tau_L, params.delta_L, slice(half, n_arcs)),
@@ -124,23 +202,40 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
         c0 = 0.5 * (tau * tau + delta * delta + 1.0)
         ca = 0.5 * (tau * tau + delta * delta - 1.0)
         peak = 0.5 * math.atan2(tau, ca) % math.pi
-        inside = (edges[arcs] <= peak) & (peak <= edges[1:][arcs])
-        d2_max[arcs][inside] = c0 + math.hypot(ca, tau)
+        top = c0 + math.hypot(ca, tau)
+        for at, value, bound in (
+            (peak, top, d2_max),
+            ((peak + HALF_PI) % math.pi, delta * delta / top, d2_min),
+        ):
+            inside = (edges[arcs] <= at) & (at <= edges[1:][arcs])
+            bound[arcs][inside] = value
     w = 0.5 * np.log(d2_max)
+    with np.errstate(divide="ignore"):
+        w_lo = 0.5 * np.log(d2_min)
 
     cone_lo = np.minimum(image[:-1], image[1:]) - ARC_PAD
     cone_hi = np.maximum(image[:-1], image[1:]) + ARC_PAD
     lo = np.searchsorted(edges[1:], cone_lo, "left")
     hi = np.searchsorted(edges[:-1], cone_hi, "right") - 1
+    return edges, w, w_lo, lo, hi
 
+
+def _fixed_point(base: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Run v <- max(0, base + max(v[lo .. hi])) from v = 0, as ``sub_action``
+    describes, for at most SUB_ACTION_ROUNDS rounds.
+
+    Returns (v, top, rounds, cycle): at a fixed point v, with top the range
+    maxima of its last round, and cycle None; at a cycle of positive weight
+    (``_positive_cycle``) v None and that cycle; when the budget runs out v
+    and cycle None.
+    """
+    n_arcs = base.size
     # Range maximum of [lo, hi] as the larger of two overlapping windows of 2^k arcs, read
     # from level k of the sparse table at flat indices (in range, so "clip" clips nothing).
     level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
     tail = hi - (1 << level) + 1
     table = np.full((int(level.max()) + 1, n_arcs), -np.inf)
     flat, first, second = table.reshape(-1), level * n_arcs + lo, level * n_arcs + tail
-    eta = SUB_ACTION_ETA
-    base = w + eta
     v, new, top = np.zeros(n_arcs), np.empty(n_arcs), np.empty(n_arcs)
     for rounds in range(1, SUB_ACTION_ROUNDS + 1):
         table[0] = v
@@ -151,16 +246,13 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
         np.maximum(top, flat.take(second, out=new, mode="clip"), out=top)
         np.maximum(0.0, np.add(base, top, out=new), out=new)
         if np.array_equal(new, v):
-            slack = math.log(math.cos(math.pi / (2 * n_arcs))) - (w + top - v)
-            t = max(abs(params.tau_L), abs(params.tau_R))
-            margin = 2.0**-50 * (2.0 + np.abs(w).max() + v.max() + (1.0 + t) * np.exp(-w.min()))
-            return SubAction(edges, w, lo, hi, v, rounds, eta, slack=slack, slack_margin=float(margin))
+            return v, top, rounds, None
         if rounds % CYCLE_CHECK_EVERY == 0:
             cycle = _positive_cycle(table, level, lo, tail, base)
             if cycle is not None:
-                return SubAction(edges, w, lo, hi, None, rounds, eta, cycle)
+                return None, top, rounds, cycle
         v, new = new, v
-    return SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS, eta)
+    return None, top, SUB_ACTION_ROUNDS, None
 
 
 @lru_cache(maxsize=4)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arcs import sector_sign
 from .errors import RegimeError, ZeroImageError
 from .maps import (
     CONV_RADIUS, DIV_RADIUS, HALF_PI, KERNEL_TOL, ORBIT_BUDGET, NormalForm2D, PWLMap, eig2,
@@ -44,12 +45,12 @@ class SphereMapEval:
 def sphere_eval(m: PWLMap, z: np.ndarray) -> SphereMapEval:
     """Evaluate D and G at a unit vector z (|z| must be 1 within 1e-9)."""
     z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):  # an overflow to inf fails, as NaN does
-        r = float(np.linalg.norm(z))
-    if not abs(r - 1.0) <= 1e-9:
+    # math.hypot neither overflows nor underflows on the way; an infinite or
+    # NaN norm fails the unit check
+    if not abs(math.hypot(*z) - 1.0) <= 1e-9:
         raise ValueError("sphere_eval expects a unit vector")
     w = eval_pwl(m, z)
-    d = float(np.linalg.norm(w))
+    d = math.hypot(*w)
     if d < 1e-12:
         raise ZeroImageError("unit vector maps (numerically) to the origin")
     return SphereMapEval(d, w / d)
@@ -368,24 +369,60 @@ def classify_regimes(params: NormalForm2D) -> RegimeReport:
 
 
 def rho_closed_form(params: NormalForm2D) -> float:
-    """Fraction of directions attracted to the origin, in closed form.
+    """Fraction of directions attracted to the origin, exactly.
 
-    Defined in the regime delta_L > 0 > delta_R, tau_L > 2*sqrt(delta_L) and
-    tau_R > -delta_R / (lambda_L_minus - tau_L); the latter inequality is
-    exactly invariance of the absorbing sector.  The attracted set is the
-    complement of the arc swept from the repelling left ray theta_L_minus to
-    its unique preimage psi in (3pi/2, 2pi) on the full circle, so
-    rho = 1 - (psi - theta_L_minus) / (2 pi).  lambda_L_minus and
-    theta_L_minus are the minus pair of ``eig2(tau_L, delta_L)``.
+    rho = s (1 - b) + l b.  Every direction either enters the sector [0,
+    theta_Lambda], where s = 1 when its orbits contract and 0 when they
+    expand (``arcs.sector_sign``), or lies in the basin of the attracting
+    left ray theta_L_plus, a share b of the circle, where l = [lambda_L_plus
+    < 1].
 
-    Raises RegimeError outside that regime, and ArithmeticError when no
-    branch of psi fits or G(psi) misses the repelling ray (as where tau_L^2
-    overflows and lambda_L_minus is -inf).
+    - Certificate regime, tau_L < 2*sqrt(delta_L): the left half rotates
+      into the right one, which G maps into the sector, so b = 0 and rho = s.
+    - Closed-form regime, tau_L > 2*sqrt(delta_L) and tau_R > -delta_R /
+      (lambda_L_minus - tau_L), the latter exactly invariance of the
+      sector: the basin is the arc swept from the repelling left ray
+      theta_L_minus to its unique preimage psi in (3pi/2, 2pi) on the full
+      circle, so b = (psi - theta_L_minus) / (2 pi).  lambda_L_minus and
+      theta_L_minus are the minus pair of ``eig2(tau_L, delta_L)``.
+      lambda_L_plus < 1 exactly when p = 1 - tau_L + delta_L > 0 and tau_L
+      < 2, since the eigenvalues are the roots of x^2 - tau_L x + delta_L;
+      p errs by at most 2^-52 (1 + |tau_L| + delta_L).
+
+    Each sign carries a rounding argument, derived in ``arcs.sector_sign``
+    as ``arcs.sub_action`` derives its own.  s = 1 comes from a sub-action
+    whose base takes w, the upper bound of ln D on each arc, up by m_i =
+    2^-50 (2 + |w_i| + (1 + T) exp(-w_i)) with T = max(|tau_L|, |tau_R|);
+    s = 0 from a super-action whose base takes w_lo, the lower bound, down
+    by the same margin of w_lo.  Either fixed point must keep its own
+    rounding below eta / 2, and the cycle bound that stops a run early
+    carries over from ``sub_action``.
+
+    Raises RegimeError outside both regimes, where s is not certified, and
+    where p is within its rounding of 0; ArithmeticError when no branch of
+    psi fits or G(psi) misses the repelling ray (as where tau_L^2 overflows
+    and lambda_L_minus is -inf).
     """
     _require_sign_regime(params)
     bound = params.left_spiral_bound
-    if not params.tau_L > bound:
-        raise RegimeError("closed form requires tau_L > 2*sqrt(delta_L)")
+    if params.tau_L < bound:
+        b = l = 0.0
+    elif not params.tau_L > bound:
+        raise RegimeError("closed form requires tau_L != 2*sqrt(delta_L)")
+    else:
+        b = _basin_share(params)
+        p = 1.0 - params.tau_L + params.delta_L
+        if abs(p) <= 2.0**-52 * (1.0 + abs(params.tau_L) + params.delta_L):
+            raise RegimeError("closed form requires lambda_L_plus != 1")
+        l = 1.0 if p > 0.0 and params.tau_L < 2.0 else 0.0
+    s = sector_sign(params)
+    if s is None:
+        raise RegimeError("closed form requires a certified sign in the sector")
+    return float(s) * (1.0 - b) + l * b
+
+
+def _basin_share(params: NormalForm2D) -> float:
+    """b = (psi - theta_L_minus) / (2 pi) of ``rho_closed_form``."""
     repelling = eig2(params.tau_L, params.delta_L)[1]
     slope = repelling.value.real - params.tau_L  # tangent of the repelling ray angle
     if not params.tau_R > -params.delta_R / slope:
@@ -417,7 +454,7 @@ def rho_closed_form(params: NormalForm2D) -> float:
         raise ArithmeticError(
             "closed-form consistency check failed: G(psi) is not the repelling ray"
         )
-    return 1.0 - diff / (2.0 * math.pi)
+    return diff / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -139,14 +139,14 @@ class TestAnalyze:
         "point, digest",
         [
             (PT_FOLD, "ea01654e340d2edbe478c5ff834f5383e432db66af0b1a69c67b60b4cb3937bb"),
-            (PT_STABLE, "d990d04af5f0e0fcd51917b80f3e810986a05eaa2df9bad477664c1ac774fddb"),
+            (PT_STABLE, "109288a96fa5336eced5104f739d0cfd6a03d11f0baebdd9c619223ffe543825"),
             (PT_UNSTABLE, "d4c5c7fb1490e4ff69df494dbc23cea098fc9604c09808adf84d7ec800e444bf"),
-            (PT_CONTRACT, "f95f7ed7b8f52dc9821dd8f7b261dee06afb98d074295bcc9dd3ab552c3f3b34"),
+            (PT_CONTRACT, "ff08f43fc5fc5ed0332fa580e069bf06ffed36f14765c79581ccd29fefab9c6b"),
         ],
         ids=["fold", "stable", "unstable", "contract"],
     )
     def test_json_output_pinned(self, point, digest):
-        # every byte of the report, lambda_hat and rho_sampled included
+        # every byte of the report, lambda_hat and rho (sampled or exact) included
         args = [a for flag, v in zip(("--tl", "--dl", "--tr", "--dr"), point)
                 for a in (flag, repr(v))]
         out = run_cli("analyze", *args, "--json")
@@ -180,7 +180,8 @@ class TestRho:
         assert a.stdout == b.stdout
 
     def test_closed_form_unavailable(self):
-        out = run_cli("rho", *STABLE_ARGS, "--samples", "200")
+        # neither sign of the sector is certified at the Milnor case
+        out = run_cli("rho", *UNSTABLE_ARGS, "--samples", "200")
         assert "rho_closed_form=unavailable" in out.stdout
 
     def test_overflowing_orbits_print_no_warning(self):

@@ -86,9 +86,50 @@ class TestClosedForm:
                 conv += 1
         assert conv / n == pytest.approx(FOLD_RHO, abs=2.0 / n)
 
-    def test_requires_real_left_eigenvalues(self):
+    @pytest.mark.parametrize(
+        "point, rho",
+        [
+            # the sector's orbits expand, and so do those near theta_L_plus: s = 0, l = 0
+            ((3.0009, 0.3504, 0.1890, -1.5365), 0.0),
+            # both contract, s = 1 and l = 1
+            ((1.8027, 0.8121, -1.7437, -1.9054), 1.0),
+            # the sector expands and theta_L_plus contracts, s = 0 and l = 1: rho = b
+            ((1.2507, 0.387, 1.5179, -0.2265), 0.42502078908135615),
+            # certificate regime with a witness: the super-action gives s = 0
+            ((1.0, 1.4, 0.5, -1.2), 0.0),
+        ],
+        ids=["expanding_sector", "both_contract", "basin_only", "witness"],
+    )
+    def test_sector_sign_brute_force_cross_check(self, point, rho):
+        # the same direction count as above; only the grid cells that straddle
+        # a basin boundary (none where rho is 0 or 1) can miss
+        params = NormalForm2D(*point)
+        assert rho_closed_form(params) == rho
+        m = params.pwl()
+        n = 500
+        conv = 0
+        for i in range(n):
+            t = 2.0 * math.pi * i / n
+            res = orbit(m, np.array([math.cos(t), math.sin(t)]), budget=2000)
+            if res.status is OrbitStatus.CONVERGED:
+                conv += 1
+        assert conv / n == pytest.approx(rho, abs=2.0 / n)
+
+    def test_certificate_regime_reads_the_sector_sign(self):
+        # every direction enters the sector, so rho is its certified sign
+        assert rho_closed_form(NormalForm2D(*PT_STABLE)) == 1.0
+        # the paper's Milnor case: sampling gives 1, but no bound over all
+        # invariant measures certifies either sign
+        with pytest.raises(RegimeError, match="certified sign"):
+            rho_closed_form(NormalForm2D(*PT_UNSTABLE))
+        # on the boundary tau_L = 2*sqrt(delta_L) neither regime holds
         with pytest.raises(RegimeError, match="2\\*sqrt"):
-            rho_closed_form(NormalForm2D(2.0, 1.4, -0.5, -1.2))
+            rho_closed_form(NormalForm2D(2.0 * math.sqrt(1.4), 1.4, -0.5, -1.2))
+
+    def test_requires_lambda_L_plus_off_one(self):
+        # eigenvalues 1 and 0.75: the attracting left ray is neutral
+        with pytest.raises(RegimeError, match="lambda_L_plus != 1"):
+            rho_closed_form(NormalForm2D(1.75, 0.75, -0.5, -1.2))
 
     def test_requires_invariant_sector(self):
         # tau_R = -0.9 breaks tau_R > -delta_R/(lambda_L_minus - tau_L)

@@ -157,6 +157,15 @@ class TestSphereEval:
             with pytest.raises(ValueError, match="unit vector"):
                 sphere_eval(m, np.array([1e200, 0.0]))
 
+    def test_image_norm_does_not_overflow(self):
+        # |image|^2 overflows, |image| does not
+        m = NormalForm2D(1e200, 1.4, -0.5, -1.2).pwl()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = sphere_eval(m, np.array([-1.0, 0.0]))
+        assert ev.d_value == pytest.approx(1e200, rel=1e-15)
+        assert math.hypot(*ev.g_point) == pytest.approx(1.0, abs=1e-15)
+
     def test_zero_image_error(self):
         from pwlstab import PWLMap
 
