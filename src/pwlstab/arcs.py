@@ -36,8 +36,9 @@ class SubAction:
 
     Arc i is [edges[i], edges[i + 1]].  ``w[i]`` bounds ln D from above on
     the arc, and its successors are the arcs lo[i] .. hi[i] that meet its
-    image cone.  ``rounds`` is the round at which the run stopped, and
-    ``eta`` the decay per step that it tested (SUB_ACTION_ETA when it ran).
+    image cone.  ``rounds`` is the round at which the run stopped (0 when
+    some w is not finite: then no run is made, and v and cycle are None),
+    and ``eta`` the decay per step that it tested (SUB_ACTION_ETA when it ran).
     When v converged, v >= 0 and v_i >= w_i + eta + max(v[lo_i .. hi_i])
     for every arc, so along every orbit the sum of ln D over t steps is at most
     -eta * t + max(v) - min(v), and ``cycle`` is None.  Then ``slack[i]``
@@ -106,8 +107,12 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     max v + (1 + T) exp(-min w)) on every arc proves it.  Exact arithmetic
     gives s_i >= eta + ln cos(pi / 2n), 7.06e-7 at n = 2048.
     """
-    edges, w, _, lo, hi = _arc_graph(params, n_arcs)
+    # a huge tau overflows D^2, and a bound that is not finite certifies nothing
+    with np.errstate(all="ignore"):
+        edges, w, _, lo, hi = _arc_graph(params, n_arcs)
     eta = SUB_ACTION_ETA
+    if not np.isfinite(w).all():
+        return SubAction(edges, w, lo, hi, None, 0, eta)
     v, top, rounds, cycle = _fixed_point(w + eta, lo, hi)
     if v is None:
         return SubAction(edges, w, lo, hi, None, rounds, eta, cycle)

@@ -418,8 +418,8 @@ class Ga92Verdict:
     note says whether the witness scan found it or it was read off a
     positive cycle of the arc graph, and at which n.  A ``NotDecided`` note
     names its reason: a failed arc check, a cycle of positive weight in the
-    arc graph at the last arc count that gave no witness, or the round
-    budget.
+    arc graph at the last arc count that gave no witness, the round budget,
+    or a bound of ln D on some arc that is not finite.
     """
 
     status: CertificateStatus
@@ -475,6 +475,10 @@ def ga92(params: NormalForm2D, *, scan: list[PeriodicOrbit] | None = None) -> Ga
 
     for n in SUB_ACTION_ARCS:
         sa = sub_action(params, n)
+        if not np.isfinite(sa.w).all():
+            # tau^2 overflows at every n, so no larger n helps
+            note = f"arc graph at n = {n} has a bound of ln D that is not finite"
+            return Ga92Verdict(CertificateStatus.NOT_DECIDED, note=note)
         if sa.v is None:
             witness = None if sa.cycle is None else _cycle_witness(params, sa.cycle, n)
             if witness is not None:

@@ -680,13 +680,16 @@ def _word_table(cell_sides, p_max: int) -> np.ndarray:
     # rows (ax, bx) and (ay, by), one column per word of the current length
     x, y = (np.repeat(np.eye(2)[:, k, None, None], n, axis=1) for k in (0, 1))
     xs, ys = [x], [y]
-    for _ in range(p_max):
-        x, y = (
-            (taus * x[:, :, None] + y[:, :, None]).reshape(2, n, -1),
-            (neg_deltas * x[:, :, None]).reshape(2, n, -1),
-        )
-        xs.append(x)
-        ys.append(y)
+    # a huge tau overflows some products to inf or nan, which ``_screen`` and
+    # ``word_orbits`` take without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(p_max):
+            x, y = (
+                (taus * x[:, :, None] + y[:, :, None]).reshape(2, n, -1),
+                (neg_deltas * x[:, :, None]).reshape(2, n, -1),
+            )
+            xs.append(x)
+            ys.append(y)
     (ax, bx), (ay, by) = np.concatenate(xs, axis=2), np.concatenate(ys, axis=2)
     return np.stack((ax, ay, bx, by))
 

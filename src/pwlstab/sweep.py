@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -148,6 +147,9 @@ def _cells(rows, spec: GridSpec, workers: int) -> list[list]:
     workers = min(workers, spec.nx, os.cpu_count() or 1)
     if workers == 1:
         return task(range(spec.nx))
+    # imported here: only a sweep with more than one worker pays for it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(task, [range(k, spec.nx, workers) for k in range(workers)]))
     return [parts[i % workers][i // workers] for i in range(spec.nx)]

@@ -165,6 +165,34 @@ class TestAnalyze:
         assert (out.returncode, out.stderr) == (0, "")
         assert json.loads(out.stdout)["rho"]["method"] == "sampled"
 
+    @pytest.mark.parametrize(
+        "tr, status, period",
+        [("0.5", "InstabilityWitness", 1), ("-0.5", "NotDecided", None)],
+    )
+    def test_huge_negative_tau_certificate_warns_nothing(self, tr, status, period):
+        # tau_L^2 overflows the witness scan's products and the arc graph's
+        # bounds; a bound that is not finite declines, and no NaN is printed
+        # (the left eigenvalues still print as +-Infinity, as eig2 gives them)
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pwlstab.cli", "analyze",
+             "--tl", "-1e200", "--dl", "1.4", "--tr", tr, "--dr", "-1.2", "--json"],
+            capture_output=True,
+            text=True,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+
+        def no_nan(constant):
+            if constant == "NaN":
+                raise ValueError("NaN in the report")
+            return float(constant)
+
+        cert = json.loads(out.stdout, parse_constant=no_nan)["certificate"]
+        assert cert["status"] == status
+        assert (cert["witness"] or {}).get("period") == period
+        if status == "NotDecided":
+            assert cert["note"] == "arc graph at n = 2048 has a bound of ln D that is not finite"
+            assert cert["containment_residuals"] == []
+
 
 class TestRho:
     def test_closed_form_line(self):

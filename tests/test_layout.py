@@ -4,9 +4,15 @@ certificate's verdict carries no geometry."""
 
 import ast
 import dataclasses
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 from pwlstab import Ga92Verdict, arcs, polygons, sphere
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _relative_imports(module) -> list[tuple[str, list[str]]]:
@@ -50,3 +56,17 @@ def test_sphere_holds_no_arc_graph():
 
 def test_verdict_keeps_no_polygon():
     assert not any("StarPolygon" in str(f.type) for f in dataclasses.fields(Ga92Verdict))
+
+
+@pytest.mark.parametrize("module", ["pwlstab", "pwlstab.cli"])
+def test_import_loads_no_process_pool(module):
+    # only a sweep with more than one worker needs the pool; every other
+    # command is one short process and should not pay for importing it
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m.startswith('concurrent.futures')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "[]\n"

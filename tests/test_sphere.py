@@ -731,29 +731,54 @@ class TestPeriodicOrbits:
         assert hit[0].lambda_value == pytest.approx(-1.4037, abs=1e-4)
 
 
-def per_cell_scan(params, p_max, lambda_min):
-    """The witness scan as written before cells were batched: every Lyndon
-    word of one cell goes through ``word_orbits``, with no screen, and with
-    the word's products from ``rotation_products``, not from the scan's
-    rotation-ordered table."""
-    sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+ORACLE_CHUNK = 512  # cells whose products ``per_cell_scans`` holds at once
+
+
+def per_cell_scans(cells, p_max, lambda_min):
+    """The witness scan of each cell as written before cells were batched:
+    every Lyndon word of a cell goes through ``word_orbits``, with no
+    screen, and with the word's rotation products multiplied out as in
+    ``rotation_products``, not read from the scan's rotation-ordered table.
+    The products are built for ORACLE_CHUNK cells at once, word by word,
+    with the same multiplies and adds in the same order as
+    ``rotation_products``."""
+    words = list(_lyndon_words(p_max))
     floors = [0.0 if lambda_min is None else eigenvalue_floor(p, lambda_min)
               for p in range(p_max + 1)]
     out = []
-    listed = {}  # orbit angles by period
-    for word in _lyndon_words(p_max):
-        p = len(word)
-        for orbit in word_orbits(sides, word, rotation_products(sides, word), floors[p]):
-            thetas = orbit.thetas
-            if any(p % q == 0 and sphere._same_angles(thetas, thetas[q:] + thetas[:q])
-                   for q in range(1, p)):
-                continue  # a shorter word traces this orbit
-            same_period = listed.setdefault(p, [])
-            if any(sphere._same_angles(t, thetas) for t in same_period):
-                continue
-            same_period.append(thetas)
-            out.append(orbit)
-    out.sort(key=lambda o: (o.period, o.thetas[0]))
+    for first in range(0, len(cells), ORACLE_CHUNK):
+        chunk = cells[first : first + ORACLE_CHUNK]
+        taus = np.array([[c.tau_L, c.tau_R] for c in chunk])
+        neg_deltas = np.array([[-c.delta_L, -c.delta_R] for c in chunk])
+        products = []  # per word, columns (ax, ay, bx, by) by cell and rotation
+        for word in words:
+            p = len(word)
+            symbols = np.asarray(word)[(np.arange(p)[:, None] + np.arange(p)) % p]
+            # rows (ax, bx) and (ay, by), one column per rotation of each cell
+            x = np.zeros((2, len(chunk), p))
+            y = np.zeros((2, len(chunk), p))
+            x[0] = y[1] = 1.0
+            for k in range(p):
+                s = symbols[:, k]
+                x, y = taus[:, s] * x + y, neg_deltas[:, s] * x
+            products.append(np.stack((x[0], y[0], x[1], y[1])))
+        for c, params in enumerate(chunk):
+            sides = ((params.tau_L, params.delta_L), (params.tau_R, params.delta_R))
+            orbits = []
+            listed = {}  # orbit angles by period
+            for word, table in zip(words, products):
+                p = len(word)
+                for orbit in word_orbits(sides, word, table[:, c].tolist(), floors[p]):
+                    thetas = orbit.thetas
+                    if any(p % q == 0 and sphere._same_angles(thetas, thetas[q:] + thetas[:q])
+                           for q in range(1, p)):
+                        continue  # a shorter word traces this orbit
+                    same_period = listed.setdefault(p, [])
+                    if any(sphere._same_angles(t, thetas) for t in same_period):
+                        continue
+                    same_period.append(thetas)
+                    orbits.append(orbit)
+            out.append(sorted(orbits, key=lambda o: (o.period, o.thetas[0])))
     return out
 
 
@@ -782,14 +807,15 @@ class TestBatchedScan:
     def test_matches_per_cell_scan(self, lambda_min):
         # a shuffled cell order, cut into batches of 1, 5 and 16 in turn
         cells = scan_cells()
+        expected = [repr(orbits) for orbits in per_cell_scans(cells, 8, lambda_min)]
         order = np.random.default_rng(5).permutation(len(cells)).tolist()
         start, sizes = 0, itertools.cycle((1, 5, 16))
         while start < len(order):
-            batch = [cells[k] for k in order[start : start + next(sizes)]]
-            got = sphere.periodic_orbits_many(batch, 8, lambda_min)
+            batch = order[start : start + next(sizes)]
+            got = sphere.periodic_orbits_many([cells[k] for k in batch], 8, lambda_min)
             assert len(got) == len(batch)
-            for params, orbits in zip(batch, got):
-                assert repr(orbits) == repr(per_cell_scan(params, 8, lambda_min)), params
+            for k, orbits in zip(batch, got):
+                assert repr(orbits) == expected[k], cells[k]
             start += len(batch)
 
     @pytest.mark.parametrize("lambda_min", [None, LAMBDA_POS_TOL], ids=["all", "floored"])

@@ -1,5 +1,6 @@
 """Parameter-plane sweeps: seeding, grids, workers, CSV and PGM output."""
 
+import concurrent.futures
 import hashlib
 import math
 
@@ -161,7 +162,7 @@ class TestWorkers:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
         return FakePool.sizes
 
