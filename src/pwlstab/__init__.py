@@ -4,7 +4,8 @@ The origin of such a map is a fixed point on the switching boundary; this
 package decides and quantifies its stability.  ``maps`` holds the map types
 and orbit iteration, ``sphere`` the radial/angular decomposition (circle
 map, Birkhoff averages, attracted fractions, periodic ray orbits), ``arcs``
-the arc graph of the circle map and its sub-action, ``polygons`` star-polygon
+the arc graph of the circle map (``arcs.ArcGraph``, built by
+``arcs.arc_graph``) and its solvers, ``polygons`` star-polygon
 geometry and the certificate ``ga92`` (witness scan, then sub-action),
 ``sweep`` deterministic two-parameter grids, and ``cli`` the command line.
 """

@@ -1,12 +1,14 @@
 """The arc graph of the circle map G over [0, pi), and sub-actions on it.
 
-The graph is the symbolic image of G (Osipenko, LNM 1889, 2007).  A
-sub-action on it bounds the integral of ln D over every invariant measure of
-G (ergodic optimisation, Jenkinson 2019); a cycle of positive weight shows
-that none exists.  The same solver, run on the absorbing sector with upper
-or lower bounds of ln D, gives the sign of growth there (``sector_sign``).
-Imports only ``maps`` and ``errors``, so that every other layer can build
-on it.
+The graph is the symbolic image of G (Osipenko, LNM 1889, 2007), built once
+per map and arc count by ``arc_graph`` as an ``ArcGraph``: every solver here
+reads its bounds, successor ranges and range-maximum plan from that one
+object.  A sub-action on it bounds the integral of ln D over every invariant
+measure of G (ergodic optimisation, Jenkinson 2019); a cycle of positive
+weight shows that none exists.  The same solver, run on the absorbing sector
+with upper or lower bounds of ln D, gives the sign of growth there
+(``sector_sign``).  Imports only ``maps``, so that every other layer can
+build on it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RegimeError
 from .maps import HALF_PI, NormalForm2D
 
 # Decay per step that a sub-action certifies, and the rounds its
@@ -31,30 +32,54 @@ ARC_PAD = 1e-12
 
 
 @dataclass(frozen=True)
-class SubAction:
-    """Arc graph of the circle map over [0, pi), and a sub-action on it.
+class ArcGraph:
+    """The arc graph of the circle map G over [0, pi) (``arc_graph``).
 
     Arc i is [edges[i], edges[i + 1]].  ``w[i]`` bounds ln D from above on
-    the arc, and its successors are the arcs lo[i] .. hi[i] that meet its
-    image cone.  ``rounds`` is the round at which the run stopped (0 when
-    some w is not finite: then no run is made, and v and cycle are None),
-    and ``eta`` the decay per step that it tested (SUB_ACTION_ETA when it ran).
-    When v converged, v >= 0 and v_i >= w_i + eta + max(v[lo_i .. hi_i])
-    for every arc, so along every orbit the sum of ln D over t steps is at most
-    -eta * t + max(v) - min(v), and ``cycle`` is None.  Then ``slack[i]``
-    is ln cos(pi / 2n) - (w_i + max(v[lo_i .. hi_i]) - v_i), and a slack
-    above ``slack_margin`` on every arc proves that the star region with
-    radius exp(-(v_i - min v)) on arc i maps into itself.  Otherwise ``v``
-    is None, and ``cycle`` is either a closed walk of arcs, each one a
-    successor of the one before and the first a successor of the last,
-    whose sum of w + eta is positive, which proves that no sub-action
-    exists; or None when the round budget ran out.
+    the arc and ``w_lo[i]`` from below, and its successors are the arcs
+    lo[i] .. hi[i] that meet its image cone.  ``level`` and ``tail`` plan
+    the range maximum over those successors: the larger of the two windows
+    of 2^level[i] arcs that start at lo[i] and at tail[i], read from level
+    ``level[i]`` of a sparse table.  A window reads only arcs lo[i] ..
+    hi[i], so ``head`` keeps the plan of the arcs it keeps.
     """
 
     edges: np.ndarray
     w: np.ndarray
+    w_lo: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    level: np.ndarray
+    tail: np.ndarray
+
+    def head(self, k: int) -> ArcGraph:
+        """Arcs 0 .. k as a graph of their own, for a k such that hi[i] <= k
+        for every i <= k."""
+        rest = (self.w, self.w_lo, self.lo, self.hi, self.level, self.tail)
+        return ArcGraph(self.edges[: k + 2], *(a[: k + 1] for a in rest))
+
+
+@dataclass(frozen=True)
+class SubAction:
+    """A sub-action on the arc graph of the circle map over [0, pi).
+
+    ``graph`` is the ``ArcGraph`` it was solved on.  ``rounds`` is the round
+    at which the run stopped (0 when some graph.w is not finite: then no
+    run is made, and v and cycle are None), and ``eta`` the decay per step
+    that it tested (SUB_ACTION_ETA when it ran).  When v converged, v >= 0
+    and v_i >= w_i + eta + max(v[lo_i .. hi_i]) for every arc, so along
+    every orbit the sum of ln D over t steps is at most -eta * t + max(v) -
+    min(v), and ``cycle`` is None.  Then ``slack[i]`` is ln cos(pi / 2n) -
+    (w_i + max(v[lo_i .. hi_i]) - v_i), and a slack above ``slack_margin``
+    on every arc proves that the star region with radius exp(-(v_i - min
+    v)) on arc i maps into itself.  Otherwise ``v`` is None, and ``cycle``
+    is either a closed walk of arcs, each one a successor of the one before
+    and the first a successor of the last, whose sum of w + eta is
+    positive, which proves that no sub-action exists; or None when the
+    round budget ran out.
+    """
+
+    graph: ArcGraph
     v: np.ndarray | None
     rounds: int
     eta: float
@@ -66,23 +91,16 @@ class SubAction:
 def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     """Bound the top Lyapunov exponent over the invariant measures of G.
 
-    Cuts [0, pi) into ``n_arcs`` equal arcs (an even number, so that the
-    switching ray pi/2 is an edge), each acted on by its own side's matrix.
-    On one side D^2 = c0 + ca cos 2t + cb sin 2t with c0 = (tau^2 + delta^2
-    + 1) / 2, ca = (tau^2 + delta^2 - 1) / 2 and cb = tau, so its maximum on
-    an arc is at an end, or c0 + hypot(ca, cb) at t* = atan2(cb, ca) / 2 mod
-    pi when t* lies in the arc; w is half the log of that maximum.  G is
-    monotone on each side, so the image of an arc is the cone between the
-    images of its ends, padded by ARC_PAD, and its successors form one
-    index range.
+    Solves on ``arc_graph(params, n_arcs)``: [0, pi) cut into ``n_arcs``
+    equal arcs, with w the upper bound of ln D on each and its successors
+    one index range.
 
     Jacobi Bellman-Ford, v <- max(0, w + eta + max(v[lo .. hi])) from v = 0,
     stops when v repeats exactly, after at most SUB_ACTION_ROUNDS rounds.
-    Each round reads the range maxima from a sparse table at flat indices
-    planned once per graph, into buffers that every round reuses; the edges
-    and their unit rays come from a per-n cache (``_arc_rays``).  A fixed
-    point exists exactly when no cycle of the arc graph has a mean weight
-    above -eta, which bounds the integral of ln D by -eta for every
+    Each round reads the range maxima from a sparse table at the flat
+    indices of the graph's plan, into buffers that every round reuses.  A
+    fixed point exists exactly when no cycle of the arc graph has a mean
+    weight above -eta, which bounds the integral of ln D by -eta for every
     invariant measure of G (ergodic optimisation on the symbolic image of G).
 
     Every CYCLE_CHECK_EVERY rounds the run also looks for the converse: a
@@ -107,19 +125,18 @@ def sub_action(params: NormalForm2D, n_arcs: int) -> SubAction:
     max v + (1 + T) exp(-min w)) on every arc proves it.  Exact arithmetic
     gives s_i >= eta + ln cos(pi / 2n), 7.06e-7 at n = 2048.
     """
+    graph = arc_graph(params, n_arcs)
+    w, eta = graph.w, SUB_ACTION_ETA
     # a huge tau overflows D^2, and a bound that is not finite certifies nothing
-    with np.errstate(all="ignore"):
-        edges, w, _, lo, hi = _arc_graph(params, n_arcs)
-    eta = SUB_ACTION_ETA
     if not np.isfinite(w).all():
-        return SubAction(edges, w, lo, hi, None, 0, eta)
-    v, top, rounds, cycle = _fixed_point(w + eta, lo, hi)
+        return SubAction(graph, None, 0, eta)
+    v, top, rounds, cycle = _fixed_point(graph, w + eta)
     if v is None:
-        return SubAction(edges, w, lo, hi, None, rounds, eta, cycle)
+        return SubAction(graph, None, rounds, eta, cycle)
     slack = math.log(math.cos(math.pi / (2 * n_arcs))) - (w + top - v)
     t = max(abs(params.tau_L), abs(params.tau_R))
     margin = 2.0**-50 * (2.0 + np.abs(w).max() + v.max() + (1.0 + t) * np.exp(-w.min()))
-    return SubAction(edges, w, lo, hi, v, rounds, eta, slack=slack, slack_margin=float(margin))
+    return SubAction(graph, v, rounds, eta, slack=slack, slack_margin=float(margin))
 
 
 def sector_sign(params: NormalForm2D) -> int | None:
@@ -130,13 +147,15 @@ def sector_sign(params: NormalForm2D) -> int | None:
     [0, pi), so the forward closure in the arc graph of the arcs that meet
     [0, theta_Lambda] (padded by ARC_PAD) is the arcs 0 .. K, with K the
     smallest index at or past the sector's last arc such that hi[i] <= K
-    for every i <= K; so no arc of it has a successor outside.
+    for every i <= K; so no arc of it has a successor outside, and those
+    arcs form a graph of their own (``ArcGraph.head``).
     On that subgraph a fixed point of ``_fixed_point`` with base w + eta
     is a sub-action, and with base -w_lo + eta a super-action:
     v_i >= -w_lo_i + eta + max v[lo_i .. hi_i] sums along every orbit to a
     sum of ln D over t steps of at least eta t - max v, so every orbit in
-    the sector expands.  Tried at n = 256 arcs and then 2048: no chord
-    term enters, since the claim is about orbits, not a region.
+    the sector expands.  Both share the subgraph's plan.  Tried at n = 256
+    arcs and then 2048: no chord term enters, since the claim is about
+    orbits, not a region.
 
     Rounding, with u = 2^-53 and T = max(|tau_L|, |tau_R|): ``sub_action``
     bounds W_i - w_i by 5u + 4u (T + 1) exp(-w_i) + 2u |w_i|, and the same
@@ -159,86 +178,99 @@ def sector_sign(params: NormalForm2D) -> int | None:
         return 2.0**-50 * (2.0 + np.abs(lnd) + (1.0 + t) * np.exp(-lnd))
 
     for n_arcs in (256, 2048):
-        # a huge tau overflows D^2, and a base that is not finite certifies nothing
+        graph = arc_graph(params, n_arcs)
+        k = min(int(np.searchsorted(graph.edges, theta_lambda + ARC_PAD, "right")), n_arcs) - 1
+        reach = np.maximum.accumulate(graph.hi)
+        while reach[k] > k:
+            k = int(reach[k])
+        sector = graph.head(k)
+        w, w_lo = sector.w, sector.w_lo
+        # a huge tau overflows the pads, and a base that is not finite certifies nothing
         with np.errstate(all="ignore"):
-            edges, w, w_lo, lo, hi = _arc_graph(params, n_arcs)
-            k = min(int(np.searchsorted(edges, theta_lambda + ARC_PAD, "right")), n_arcs) - 1
-            reach = np.maximum.accumulate(hi)
-            while reach[k] > k:
-                k = int(reach[k])
-            w, w_lo, lo, hi = w[: k + 1], w_lo[: k + 1], lo[: k + 1], hi[: k + 1]
             bases = ((1, w + pad(w) + eta), (0, eta - (w_lo - pad(w_lo))))
         for sign, base in bases:
             if not np.isfinite(base).all():
                 continue
-            v = _fixed_point(base, lo, hi)[0]
+            v = _fixed_point(sector, base)[0]
             if v is not None and 2.0**-52 * (np.abs(base).max() + v.max() + 1.0) < 0.5 * eta:
                 return sign
     return None
 
 
-def _arc_graph(params: NormalForm2D, n_arcs: int):
-    """The arc graph of ``sub_action``: (edges, w, w_lo, lo, hi).
+def arc_graph(params: NormalForm2D, n_arcs: int) -> ArcGraph:
+    """The arc graph of G on ``n_arcs`` equal arcs of [0, pi).
 
-    w_lo[i] bounds ln D from below on arc i, as w[i] bounds it from above.
-    On one side the minimum of D^2 lies at an arc end, or at the trough t* +
-    pi/2, where D^2 is delta^2 over the peak value: the two are the squared
-    singular values of the side matrix, whose product is delta^2.  An
-    underflow of that quotient to 0 gives w_lo = -inf, a bound that holds.
+    ``n_arcs`` is even, so that the switching ray pi/2 is an edge, and each
+    arc is acted on by its own side's matrix.  On one side D^2 = c0 + ca
+    cos 2t + cb sin 2t with c0 = (tau^2 + delta^2 + 1) / 2, ca = (tau^2 +
+    delta^2 - 1) / 2 and cb = tau, so its maximum on an arc is at an end,
+    or c0 + hypot(ca, cb) at the peak t* = atan2(cb, ca) / 2 mod pi when t*
+    lies in the arc; w is half the log of that maximum.  Its minimum lies
+    at an end, or at the trough t* + pi/2, where D^2 is delta^2 over the
+    peak value: the two are the squared singular values of the side
+    matrix, whose product is delta^2; w_lo is half the log of that minimum.
+    G is monotone on each side, so the image of an arc is the cone between
+    the images of its ends, padded by ARC_PAD, and its successors form one
+    index range.  The edges and their unit rays come from a per-n cache
+    (``_arc_rays``); only ``step`` of those rays depends on the map.
+
+    Built under one ``np.errstate``: a huge tau overflows D^2 to a bound
+    that is not finite, which no solver certifies from, and an underflow
+    of the trough's quotient to 0 gives w_lo = -inf, a bound that holds.
     """
-    if not params.in_sign_regime:
-        raise RegimeError("requires delta_L > 0 and delta_R < 0")
+    params.require_sign_regime()
     if n_arcs < 2 or n_arcs % 2:
         raise ValueError("n_arcs must be even and at least 2")
     half = n_arcs // 2
     edges, c, s = _arc_rays(n_arcs)
-    # The two sides agree at the edge pi/2, so one image per edge serves the
-    # arcs on both sides of it.
-    x, y = params.step(c, s)
-    image = np.arctan2(y, x)
-    d2 = x * x + y * y
+    with np.errstate(all="ignore"):
+        # The two sides agree at the edge pi/2, so one image per edge serves
+        # the arcs on both sides of it.
+        x, y = params.step(c, s)
+        image = np.arctan2(y, x)
+        d2 = x * x + y * y
 
-    d2_max = np.maximum(d2[:-1], d2[1:])
-    d2_min = np.minimum(d2[:-1], d2[1:])
-    for tau, delta, arcs in (
-        (params.tau_R, params.delta_R, slice(0, half)),
-        (params.tau_L, params.delta_L, slice(half, n_arcs)),
-    ):
-        c0 = 0.5 * (tau * tau + delta * delta + 1.0)
-        ca = 0.5 * (tau * tau + delta * delta - 1.0)
-        peak = 0.5 * math.atan2(tau, ca) % math.pi
-        top = c0 + math.hypot(ca, tau)
-        for at, value, bound in (
-            (peak, top, d2_max),
-            ((peak + HALF_PI) % math.pi, delta * delta / top, d2_min),
+        d2_max = np.maximum(d2[:-1], d2[1:])
+        d2_min = np.minimum(d2[:-1], d2[1:])
+        for tau, delta, arcs in (
+            (params.tau_R, params.delta_R, slice(0, half)),
+            (params.tau_L, params.delta_L, slice(half, n_arcs)),
         ):
-            inside = (edges[arcs] <= at) & (at <= edges[1:][arcs])
-            bound[arcs][inside] = value
-    w = 0.5 * np.log(d2_max)
-    with np.errstate(divide="ignore"):
+            c0 = 0.5 * (tau * tau + delta * delta + 1.0)
+            ca = 0.5 * (tau * tau + delta * delta - 1.0)
+            peak = 0.5 * math.atan2(tau, ca) % math.pi
+            top = c0 + math.hypot(ca, tau)
+            for at, value, bound in (
+                (peak, top, d2_max),
+                ((peak + HALF_PI) % math.pi, delta * delta / top, d2_min),
+            ):
+                inside = (edges[arcs] <= at) & (at <= edges[1:][arcs])
+                bound[arcs][inside] = value
+        w = 0.5 * np.log(d2_max)
         w_lo = 0.5 * np.log(d2_min)
 
-    cone_lo = np.minimum(image[:-1], image[1:]) - ARC_PAD
-    cone_hi = np.maximum(image[:-1], image[1:]) + ARC_PAD
-    lo = np.searchsorted(edges[1:], cone_lo, "left")
-    hi = np.searchsorted(edges[:-1], cone_hi, "right") - 1
-    return edges, w, w_lo, lo, hi
+        cone_lo = np.minimum(image[:-1], image[1:]) - ARC_PAD
+        cone_hi = np.maximum(image[:-1], image[1:]) + ARC_PAD
+        lo = np.searchsorted(edges[1:], cone_lo, "left")
+        hi = np.searchsorted(edges[:-1], cone_hi, "right") - 1
+        # Range maximum of [lo, hi] as the larger of two overlapping windows of 2^k arcs.
+        level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
+        tail = hi - (1 << level) + 1
+    return ArcGraph(edges, w, w_lo, lo, hi, level, tail)
 
 
-def _fixed_point(base: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Run v <- max(0, base + max(v[lo .. hi])) from v = 0, as ``sub_action``
-    describes, for at most SUB_ACTION_ROUNDS rounds.
+def _fixed_point(graph: ArcGraph, base: np.ndarray):
+    """Run v <- max(0, base + max(v[lo .. hi])) on ``graph`` from v = 0, as
+    ``sub_action`` describes, for at most SUB_ACTION_ROUNDS rounds.
 
     Returns (v, top, rounds, cycle): at a fixed point v, with top the range
     maxima of its last round, and cycle None; at a cycle of positive weight
     (``_positive_cycle``) v None and that cycle; when the budget runs out v
     and cycle None.
     """
-    n_arcs = base.size
-    # Range maximum of [lo, hi] as the larger of two overlapping windows of 2^k arcs, read
-    # from level k of the sparse table at flat indices (in range, so "clip" clips nothing).
-    level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
-    tail = hi - (1 << level) + 1
+    n_arcs, level, lo, tail = base.size, graph.level, graph.lo, graph.tail
+    # The graph's plan, read from level k of the sparse table at flat indices
+    # (in range, so "clip" clips nothing).
     table = np.full((int(level.max()) + 1, n_arcs), -np.inf)
     flat, first, second = table.reshape(-1), level * n_arcs + lo, level * n_arcs + tail
     v, new, top = np.zeros(n_arcs), np.empty(n_arcs), np.empty(n_arcs)
@@ -253,7 +285,7 @@ def _fixed_point(base: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         if np.array_equal(new, v):
             return v, top, rounds, None
         if rounds % CYCLE_CHECK_EVERY == 0:
-            cycle = _positive_cycle(table, level, lo, tail, base)
+            cycle = _positive_cycle(table, graph, base)
             if cycle is not None:
                 return None, top, rounds, cycle
         v, new = new, v
@@ -272,14 +304,15 @@ def _arc_rays(n_arcs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rays
 
 
-def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
+def _positive_cycle(table, graph: ArcGraph, base) -> np.ndarray | None:
     """A cycle of positive weight in the policy graph of the v in table[0].
 
     The policy sends arc i to an arc of lo[i] .. hi[i] where v is largest,
     read from an index sparse table over the value table at the flat
-    indices level * n + lo and level * n + tail.  It is a functional graph;
-    pointer doubling by ``take`` moves every arc 2^K >= n steps forward, onto
-    a cycle, so the arcs it lands on are exactly the arcs on cycles, usually
+    indices of the graph's plan, level * n + lo and level * n + tail.  It is
+    a functional graph; pointer doubling by ``take`` moves every arc 2^K >=
+    n steps forward, onto a cycle, so the arcs it lands on are exactly the
+    arcs on cycles, usually
     a few dozen of the n.  Doubling again among those alone, keeping the
     smallest arc passed, labels each cycle by its smallest arc, and the
     weight of base over each cycle is one bincount, summed in arc order.
@@ -305,7 +338,8 @@ def _positive_cycle(table, level, lo, tail, base) -> np.ndarray | None:
         span = 1 << (k - 1)
         left_wins = table[k - 1, :-span] >= table[k - 1, span:]
         idx[k, :-span] = np.where(left_wins, idx[k - 1, :-span], idx[k - 1, span:])
-    first, second = idx.take(level * n + lo), idx.take(level * n + tail)
+    first = idx.take(graph.level * n + graph.lo)
+    second = idx.take(graph.level * n + graph.tail)
     policy = np.where(vals.take(first) >= vals.take(second), first, second)
 
     jump = policy

@@ -118,8 +118,6 @@ def _cmd_analyze(args) -> int:
         line = f"certificate: {c['status']}"
         if c["m"] is not None:
             line += f" m={c['m']}"
-        if c["k"] is not None:
-            line += f" k={c['k']}"
         if c["witness"] is not None:
             w = c["witness"]
             line += (

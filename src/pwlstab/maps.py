@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ZeroImageError
+from .errors import RegimeError, ZeroImageError
 
 CONTINUITY_TOL = 1e-12
 # A unit vector whose image is shorter than this counts as mapped to the origin.
@@ -84,7 +84,8 @@ class NormalForm2D:
     switching line is x = 0.  Construction is allowed for any finite
     parameters, and a NaN or an infinity raises ``ValueError``; the
     individual analyses check their own regime requirements
-    (``delta_L > 0 > delta_R`` for the sphere decomposition work).
+    (``require_sign_regime`` for the sphere decomposition work and the arc
+    graph).
 
     ``step``, ``step_scalar``, ``log_stretch`` and ``first_exit`` are the
     one definition of the map's step (x, y) -> (tau x + y, -delta x) used
@@ -195,6 +196,11 @@ class NormalForm2D:
     def in_sign_regime(self) -> bool:
         """delta_L > 0 > delta_R: the regime of the angular-decomposition analyses."""
         return self.delta_L > 0.0 and self.delta_R < 0.0
+
+    def require_sign_regime(self) -> None:
+        """Raise ``RegimeError`` outside delta_L > 0 > delta_R (``in_sign_regime``)."""
+        if not self.in_sign_regime:
+            raise RegimeError("requires delta_L > 0 and delta_R < 0")
 
     @property
     def left_spiral_bound(self) -> float:

@@ -475,8 +475,8 @@ def ga92(params: NormalForm2D, *, scan: list[PeriodicOrbit] | None = None) -> Ga
 
     for n in SUB_ACTION_ARCS:
         sa = sub_action(params, n)
-        if not np.isfinite(sa.w).all():
-            # tau^2 overflows at every n, so no larger n helps
+        if sa.rounds == 0:
+            # no run: tau^2 overflows at every n, so no larger n helps
             note = f"arc graph at n = {n} has a bound of ln D that is not finite"
             return Ga92Verdict(CertificateStatus.NOT_DECIDED, note=note)
         if sa.v is None:

@@ -68,11 +68,6 @@ def angle_of(p: np.ndarray) -> float:
     return a if 0.0 < a < math.pi else 0.0
 
 
-def _require_sign_regime(params: NormalForm2D) -> None:
-    if not params.in_sign_regime:
-        raise RegimeError("requires delta_L > 0 and delta_R < 0")
-
-
 def _check_angles(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= -1e-12) & (theta < math.pi + 1e-12)):  # NaN fails too
@@ -99,7 +94,7 @@ def circle_G(params: NormalForm2D, theta):
     half-plane so the angle stays in [0, pi).  G(pi/2) = 0 because the ray
     x = 0 maps to the positive x-axis.  Accepts scalars or arrays.
     """
-    _require_sign_regime(params)
+    params.require_sign_regime()
     t = _check_angles(theta)
     x, y = params.step(*params.unit_ray(t))
     out = np.arctan2(y, x)
@@ -271,7 +266,7 @@ def g_fixed_points(params: NormalForm2D) -> list[GFixedPoint]:
     pi/2 are discarded: there the other matrix acts, so the ray is not
     actually invariant.
     """
-    _require_sign_regime(params)
+    params.require_sign_regime()
     out: list[GFixedPoint] = []
     for side, tau, delta in (
         ("left", params.tau_L, params.delta_L),
@@ -318,7 +313,7 @@ class RegimeReport:
 
 def classify_regimes(params: NormalForm2D) -> RegimeReport:
     """Classify the circle-map phase portrait; requires delta_L > 0 > delta_R."""
-    _require_sign_regime(params)
+    params.require_sign_regime()
     notes: list[str] = []
 
     bound = params.left_spiral_bound
@@ -389,21 +384,15 @@ def rho_closed_form(params: NormalForm2D) -> float:
       < 2, since the eigenvalues are the roots of x^2 - tau_L x + delta_L;
       p errs by at most 2^-52 (1 + |tau_L| + delta_L).
 
-    Each sign carries a rounding argument, derived in ``arcs.sector_sign``
-    as ``arcs.sub_action`` derives its own.  s = 1 comes from a sub-action
-    whose base takes w, the upper bound of ln D on each arc, up by m_i =
-    2^-50 (2 + |w_i| + (1 + T) exp(-w_i)) with T = max(|tau_L|, |tau_R|);
-    s = 0 from a super-action whose base takes w_lo, the lower bound, down
-    by the same margin of w_lo.  Either fixed point must keep its own
-    rounding below eta / 2, and the cycle bound that stops a run early
-    carries over from ``sub_action``.
+    s comes from a sub-action (s = 1) or a super-action (s = 0) on the
+    sector's arcs; ``arcs.sector_sign`` gives the rounding argument of each.
 
     Raises RegimeError outside both regimes, where s is not certified, and
     where p is within its rounding of 0; ArithmeticError when no branch of
     psi fits or G(psi) misses the repelling ray (as where tau_L^2 overflows
     and lambda_L_minus is -inf).
     """
-    _require_sign_regime(params)
+    params.require_sign_regime()
     bound = params.left_spiral_bound
     if params.tau_L < bound:
         b = l = 0.0
@@ -616,7 +605,7 @@ def histogram_G(
     Returns (density, bin_edges) as from numpy.histogram(density=True); the
     density integrates to 1 over [0, pi).
     """
-    _require_sign_regime(params)
+    params.require_sign_regime()
     if n <= 0:
         raise ValueError("n must be positive")
     th = float(_check_angles(theta0))
@@ -874,7 +863,7 @@ def periodic_orbits_many(
     surely give none, and each word kept goes to ``word_orbits`` with its
     own slice of the table."""
     for params in cells:
-        _require_sign_regime(params)
+        params.require_sign_regime()
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     sides = [((c.tau_L, c.delta_L), (c.tau_R, c.delta_R)) for c in cells]

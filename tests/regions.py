@@ -24,7 +24,7 @@ def certified_region(params, verdict) -> StarPolygon:
     n = int(re.match(r"sub-action at n = (\d+) ", verdict.note).group(1))
     sa = sub_action(params, n)
     rho = np.exp(-(sa.v - sa.v.min()))
-    ang = np.repeat(sa.edges, 2)[1:-1]
+    ang = np.repeat(sa.graph.edges, 2)[1:-1]
     rad = np.repeat(rho, 2)
     keep = np.append(True, (np.diff(ang) != 0.0) | (np.diff(rad) != 0.0))
     return StarPolygon(ang[keep], rad[keep])

@@ -1,5 +1,6 @@
 """Radial/angular decomposition: D, G, averages, fixed points, periodic orbits."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -897,10 +898,11 @@ class TestBatchedScan:
         assert out.stdout.strip() == "0"
 
 
-def pointer_doubling_cycle(table, level, lo, tail, base):
+def pointer_doubling_cycle(table, graph, base):
     """The cycle search as first written: pointer doubling carries the
     smallest arc passed through every arc, and the cycle sums run over all
     n arcs.  The reference for ``arcs._positive_cycle``."""
+    level, lo, tail = graph.level, graph.lo, graph.tail
     vals = table[0]
     n = vals.size
     idx = np.empty(table.shape, dtype=np.int32)
@@ -938,7 +940,8 @@ def per_round_sub_action(params, n_arcs):
     """``sub_action`` as first written: it builds the edges and their unit
     rays at every call, reads both windows of the range maxima with 2-D fancy
     indices and allocates new arrays at every round, and searches cycles
-    with ``pointer_doubling_cycle``.  The reference for ``arcs.sub_action``."""
+    with ``pointer_doubling_cycle``.  The reference for ``arcs.sub_action``;
+    it builds its own graph, plan included, and never calls ``arc_graph``."""
     half = n_arcs // 2
     edges = np.arange(n_arcs + 1) * (math.pi / n_arcs)
     edges[half] = HALF_PI
@@ -947,6 +950,7 @@ def per_round_sub_action(params, n_arcs):
     d2 = x * x + y * y
 
     d2_max = np.maximum(d2[:-1], d2[1:])
+    d2_min = np.minimum(d2[:-1], d2[1:])
     for tau, delta, side in (
         (params.tau_R, params.delta_R, slice(0, half)),
         (params.tau_L, params.delta_L, slice(half, n_arcs)),
@@ -956,7 +960,11 @@ def per_round_sub_action(params, n_arcs):
         peak = 0.5 * math.atan2(tau, ca) % math.pi
         inside = (edges[side] <= peak) & (peak <= edges[1:][side])
         d2_max[side][inside] = c0 + math.hypot(ca, tau)
+        trough = (peak + HALF_PI) % math.pi
+        inside = (edges[side] <= trough) & (trough <= edges[1:][side])
+        d2_min[side][inside] = delta * delta / (c0 + math.hypot(ca, tau))
     w = 0.5 * np.log(d2_max)
+    w_lo = 0.5 * np.log(d2_min)
 
     cone_lo = np.minimum(image[:-1], image[1:]) - arcs.ARC_PAD
     cone_hi = np.maximum(image[:-1], image[1:]) + arcs.ARC_PAD
@@ -965,6 +973,7 @@ def per_round_sub_action(params, n_arcs):
 
     level = np.floor(np.log2(hi - lo + 1)).astype(np.intp)
     tail = hi - (1 << level) + 1
+    graph = arcs.ArcGraph(edges, w, w_lo, lo, hi, level, tail)
     table = np.full((int(level.max()) + 1, n_arcs), -np.inf)
     eta = arcs.SUB_ACTION_ETA
     base = w + eta
@@ -981,14 +990,14 @@ def per_round_sub_action(params, n_arcs):
             t = max(abs(params.tau_L), abs(params.tau_R))
             margin = 2.0**-50 * (2.0 + np.abs(w).max() + v.max() + (1.0 + t) * np.exp(-w.min()))
             return arcs.SubAction(
-                edges, w, lo, hi, v, rounds, eta, slack=slack, slack_margin=float(margin)
+                graph, v, rounds, eta, slack=slack, slack_margin=float(margin)
             )
         if rounds % CYCLE_CHECK_EVERY == 0:
-            cycle = pointer_doubling_cycle(table, level, lo, tail, base)
+            cycle = pointer_doubling_cycle(table, graph, base)
             if cycle is not None:
-                return arcs.SubAction(edges, w, lo, hi, None, rounds, eta, cycle)
+                return arcs.SubAction(graph, None, rounds, eta, cycle)
         v = new
-    return arcs.SubAction(edges, w, lo, hi, None, SUB_ACTION_ROUNDS, eta)
+    return arcs.SubAction(graph, None, SUB_ACTION_ROUNDS, eta)
 
 
 def sub_action_runs():
@@ -1001,12 +1010,19 @@ def sub_action_runs():
             if params.tau_L < params.left_spiral_bound:
                 runs += [(params, 2048), (params, 8192)]
     runs += [(NormalForm2D(*PT_UNSTABLE), 512), (NormalForm2D(*PT_UNSTABLE), 2048)]
+    runs += [(params, 2048) for params in sign_regime_draws()]
+    return runs
+
+
+def sign_regime_draws():
+    """200 maps drawn with delta_L > 0 > delta_R from ``default_rng(3)``."""
+    draws = []
     rng = np.random.default_rng(3)
     for _ in range(200):
         tl, tr = rng.uniform(-3.0, 3.0, 2)
         dl, dr = rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)
-        runs.append((NormalForm2D(tl, dl, tr, dr), 2048))
-    return runs
+        draws.append(NormalForm2D(tl, dl, tr, dr))
+    return draws
 
 
 def same_array(a, b) -> bool:
@@ -1023,8 +1039,8 @@ def assert_positive_cycle(sa):
     assert sa.v is None and sa.cycle is not None and sa.cycle.size >= 1
     walk = [int(i) for i in sa.cycle]
     for i, j in zip(walk, walk[1:] + walk[:1]):
-        assert sa.lo[i] <= j <= sa.hi[i]
-    assert math.fsum(float(sa.w[i]) + sa.eta for i in walk) > 0.0
+        assert sa.graph.lo[i] <= j <= sa.graph.hi[i]
+    assert math.fsum(float(sa.graph.w[i]) + sa.eta for i in walk) > 0.0
 
 
 class TestSubAction:
@@ -1038,13 +1054,13 @@ class TestSubAction:
         # re-verify each arc from the returned arrays alone, one slice at a
         # time, and re-read its slack against the chord's dip
         sa = sub_action(NormalForm2D(*pt), 2048)
-        v = sa.v
+        v, g = sa.v, sa.graph
         chord = math.log(math.cos(math.pi / 4096))
         assert np.all(v >= 0.0)
         for i in range(v.size):
-            top = v[sa.lo[i] : sa.hi[i] + 1].max()
-            assert v[i] >= sa.w[i] + sa.eta + top
-            assert sa.slack[i] == chord - (sa.w[i] + top - v[i])
+            top = v[g.lo[i] : g.hi[i] + 1].max()
+            assert v[i] >= g.w[i] + sa.eta + top
+            assert sa.slack[i] == chord - (g.w[i] + top - v[i])
         assert sa.slack.min() >= sa.eta + chord - 1e-12
         assert 0.0 < sa.slack_margin < 1e-13
 
@@ -1053,16 +1069,16 @@ class TestSubAction:
         # points inside each arc: ln D stays below the arc's weight, and the
         # image angle lands in the arc's successor range
         params = NormalForm2D(*pt)
-        sa = sub_action(params, 512)
-        assert sa.edges[256] == math.pi / 2
+        g = sub_action(params, 512).graph
+        assert g.edges[256] == math.pi / 2
         frac = np.linspace(0.0, 1.0, 7)[1:-1]
-        lo_edge, hi_edge = sa.edges[:-1], sa.edges[1:]
+        lo_edge, hi_edge = g.edges[:-1], g.edges[1:]
         theta = (lo_edge[:, None] + frac * (hi_edge - lo_edge)[:, None]).ravel()
         arc = np.repeat(np.arange(512), frac.size)
-        assert np.all(np.log(circle_D(params, theta)) <= sa.w[arc] + 1e-12)
+        assert np.all(np.log(circle_D(params, theta)) <= g.w[arc] + 1e-12)
         image = circle_G(params, theta)
-        assert np.all(image >= sa.edges[sa.lo[arc]])
-        assert np.all(image <= sa.edges[sa.hi[arc] + 1])
+        assert np.all(image >= g.edges[g.lo[arc]])
+        assert np.all(image <= g.edges[g.hi[arc] + 1])
 
     @pytest.mark.parametrize("n_arcs", [512, 2048])
     def test_unstable_point_is_never_certified(self, n_arcs):
@@ -1125,12 +1141,15 @@ class TestSubAction:
 
     def test_matches_per_round_sub_action(self):
         # the graph's flat indices, the rounds' buffers and the cached rays
-        # change no float: every field of every run equals the reference's
+        # change no float: every field of every run, and of its graph,
+        # equals the reference's
         runs = sub_action_runs()
         cycles = converged = 0
         for params, n in runs:
             got, want = sub_action(params, n), per_round_sub_action(params, n)
-            for name in ("edges", "w", "lo", "hi", "v", "cycle", "slack"):
+            for f in dataclasses.fields(arcs.ArcGraph):
+                assert same_array(getattr(got.graph, f.name), getattr(want.graph, f.name)), f.name
+            for name in ("v", "cycle", "slack"):
                 assert same_array(getattr(got, name), getattr(want, name)), name
             assert (got.rounds, got.eta, got.slack_margin) == (want.rounds, want.eta, want.slack_margin)
             cycles += got.cycle is not None
@@ -1157,7 +1176,7 @@ class TestSubAction:
             for a in rays:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 1.0
-            assert sub_action(params, n).edges is edges
+            assert sub_action(params, n).graph.edges is edges
         for n in range(2, 20, 2):
             arcs._arc_rays(n)
         info = arcs._arc_rays.cache_info()
@@ -1180,3 +1199,19 @@ class TestSubAction:
             sub_action(NormalForm2D(*PT_STABLE), 511)
         with pytest.raises(RegimeError):
             sub_action(NormalForm2D(1.0, -0.2, -0.5, -1.2), 512)
+
+
+class TestSectorSign:
+    def test_signs_pinned(self):
+        # every cell of the 16x8 acceptance plane, in the certificate regime
+        # or not, and the 200 draws of sub_action_runs: each sign, 1, 0 or
+        # None, pinned as one digest of their repr
+        plane = [
+            NormalForm2D(float(tl), 1.4, float(tr), -1.2)
+            for tl in np.linspace(0.0, 3.5, 16)
+            for tr in np.linspace(-2.0, 1.0, 8)
+        ]
+        signs = [arcs.sector_sign(params) for params in plane + sign_regime_draws()]
+        assert (signs.count(1), signs.count(0), signs.count(None)) == (50, 147, 131)
+        digest = hashlib.sha256(repr(signs).encode()).hexdigest()
+        assert digest == "ce327e5e206cab70b4126ecee0308f4d29cc781a31ae9f44948a1069825b978f"
