@@ -479,6 +479,20 @@ class TestBenchEntryPoints:
                     obj = getattr(obj, part)
                 assert callable(obj), f"{layer}.{qual}"
 
+    def test_cli_loads_every_traced_layer(self):
+        # bench/run.py imports pwlstab.cli and then looks each traced layer
+        # up in sys.modules, so cli imports every layer when it loads.
+        # Importing a command's layers only when it runs waits until the
+        # tracer imports the layers itself (ROADMAP item 1).
+        code = (
+            f"import sys; sys.path[:0] = [{str(BENCH.parent / 'src')!r}, {str(BENCH)!r}]; "
+            "import pwlstab, pwlstab.cli, tracing; "
+            "print([l for l in tracing.TRACED if f'pwlstab.{l}' not in sys.modules]); "
+            "tracing.Tracer(pwlstab).install()"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (out.returncode, out.stderr, out.stdout) == (0, "", "[]\n")
+
     @pytest.mark.parametrize(
         "pt",
         [PT_STABLE, PT_UNSTABLE, (2.3, 1.4, -1.9, -1.2)],

@@ -1,9 +1,11 @@
 """The module layout: ``arcs`` sits low in the import order, so that the
 circle map and the certificate can both build on the arc graph, and the
-certificate's verdict carries no geometry."""
+certificate's verdict carries no geometry.  The package loads each layer on
+first use, so a fresh process pays only for the layers it touches."""
 
 import ast
 import dataclasses
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,22 @@ import pytest
 from pwlstab import Ga92Verdict, arcs, polygons, sphere
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+LAYERS = sorted(p.stem for p in (SRC / "pwlstab").glob("*.py") if p.stem != "__init__")
+
+# the public names, in the order of the package's former hand-written __all__
+PUBLIC = [
+    "AnalysisReport", "CONTINUITY_TOL", "CONV_RADIUS", "CertificateStatus", "DIV_RADIUS",
+    "DegenerateImageError", "EPS_ANGLE", "EPS_GEOM", "EigenPair2", "GFixedPoint",
+    "Ga92Verdict", "GridMode", "GridResult", "GridSpec", "MeasureEstimate", "NormalForm2D",
+    "ORBIT_BUDGET", "OrbitStatus", "OrbitVerdict", "PWLMap", "PeriodicOrbit", "RegimeError",
+    "RegimeReport", "RhoEstimate", "SphereMapEval", "StarPolygon", "SubAction",
+    "ZeroImageError", "analyze", "angle_of", "birkhoff_lambda", "circle_D", "circle_G",
+    "classify_regimes", "containment_protrusion", "delta_sequence", "eig2", "eval_pwl",
+    "g_fixed_points", "ga92", "histogram_G", "image_polygon", "mix_seed", "orbit",
+    "periodic_orbits_G", "perturbed_map", "rho_closed_form", "rho_sampled",
+    "separated_from_gamma", "sphere_eval", "sub_action", "sweep_asymptotic",
+    "sweep_measure", "union_star", "write_grid_csv", "write_grid_pgm", "write_polygon_csv",
+]
 
 
 def _relative_imports(module) -> list[tuple[str, list[str]]]:
@@ -62,15 +80,74 @@ def test_verdict_keeps_no_polygon():
     assert not any("StarPolygon" in str(f.type) for f in dataclasses.fields(Ga92Verdict))
 
 
+def _modules_after(statement: str) -> list[str]:
+    """Sorted ``sys.modules`` after ``statement`` runs in a fresh interpreter
+    that imports pwlstab from src/."""
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); {statement}; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    return ast.literal_eval(out.stdout)
+
+
+def _defined(path: Path) -> set[str]:
+    """Names that the module at ``path`` binds at top level by def, class or =."""
+    out = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return out
+
+
 @pytest.mark.parametrize("module", ["pwlstab", "pwlstab.cli"])
 def test_import_loads_no_process_pool(module):
     # only a sweep with more than one worker needs the pool; every other
     # command is one short process and should not pay for importing it
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module}; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
-        " or m.startswith('concurrent.futures')))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout == "[]\n"
+    loaded = _modules_after(f"import {module}")
+    pool = [
+        m for m in loaded
+        if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent.futures")
+    ]
+    assert pool == []
+
+
+def test_bare_import_loads_no_layer():
+    # nor numpy: a script that touches one layer pays for that layer only
+    loaded = _modules_after("import pwlstab")
+    assert [m for m in loaded if m.split(".")[0] in ("pwlstab", "numpy")] == ["pwlstab"]
+
+
+def test_name_loads_only_its_layer():
+    loaded = _modules_after("from pwlstab import NormalForm2D")
+    assert [m for m in loaded if m.split(".")[0] == "pwlstab"] == [
+        "pwlstab", "pwlstab.errors", "pwlstab.maps",
+    ]
+
+
+def test_layers_resolve_after_bare_import():
+    # a layer is reachable as an attribute of the bare package, as it was
+    # when every layer loaded with it
+    loaded = _modules_after("import pwlstab; pwlstab.sphere; pwlstab.cli.main")
+    assert {"pwlstab.sphere", "pwlstab.cli"} <= set(loaded)
+
+
+def test_public_names_keep_their_order_and_homes():
+    import pwlstab
+
+    assert pwlstab.__all__ == PUBLIC
+    defined = {layer: _defined(SRC / "pwlstab" / f"{layer}.py") for layer in LAYERS}
+    for name in PUBLIC:
+        homes = [layer for layer in LAYERS if name in defined[layer]]
+        assert len(homes) == 1, (name, homes)
+        home = importlib.import_module(f"pwlstab.{homes[0]}")
+        assert getattr(pwlstab, name) is getattr(home, name), name
+        assert name not in vars(pwlstab), name  # resolved at access, never stored
+
+
+def test_unknown_name_raises_attribute_error():
+    import pwlstab
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pwlstab.no_such_name
+    assert set(PUBLIC) | set(LAYERS) <= set(dir(pwlstab))

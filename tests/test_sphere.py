@@ -891,8 +891,8 @@ class TestBatchedScan:
 
     def test_import_builds_no_plan(self):
         # the screen's index arrays are built at the first batch, not when
-        # the package loads
-        code = "import pwlstab; print(pwlstab.sphere._scan_plan.cache_info().currsize)"
+        # the package loads; pwlstab.cli imports every layer, so each is checked
+        code = "import pwlstab, pwlstab.cli; print(pwlstab.sphere._scan_plan.cache_info().currsize)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0"
@@ -1183,8 +1183,9 @@ class TestSubAction:
         assert info.maxsize == info.currsize == 4
 
     def test_import_builds_no_rays(self):
-        # the rays are built at the first sub_action, not when the package loads
-        code = "import pwlstab; print(pwlstab.arcs._arc_rays.cache_info().currsize)"
+        # the rays are built at the first sub_action, not when the package
+        # loads; pwlstab.cli imports every layer, so each is checked
+        code = "import pwlstab, pwlstab.cli; print(pwlstab.arcs._arc_rays.cache_info().currsize)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0"
