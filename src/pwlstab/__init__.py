@@ -5,9 +5,11 @@ package decides and quantifies its stability.  ``maps`` holds the map types
 and orbit iteration, ``sphere`` the radial/angular decomposition (circle
 map, Birkhoff averages, attracted fractions, periodic ray orbits), ``arcs``
 the arc graph of the circle map (``arcs.ArcGraph``, built by
-``arcs.arc_graph``) and its solvers, ``polygons`` star-polygon
-geometry and the certificate ``ga92`` (witness scan, then sub-action),
-``sweep`` deterministic two-parameter grids, and ``cli`` the command line.
+``arcs.arc_graph``) and its solvers, ``polygons`` the certificate ``ga92``
+(witness scan, then sub-action), ``sweep`` deterministic two-parameter
+grids, and ``cli`` the command line.  ``polygons`` also holds star-polygon
+geometry that no verdict uses and the package does not export: the tests
+re-check certified regions with it, from ``pwlstab.polygons``.
 
 Each layer loads on first use (PEP 562): ``import pwlstab`` imports none of
 them, nor numpy, and ``pwlstab.NormalForm2D`` imports only ``maps`` and what
@@ -22,18 +24,14 @@ __version__ = "0.1.0"
 
 # the home module of every public name; __all__ lists them sorted
 _HOMES = {
-    "errors": ("DegenerateImageError", "RegimeError", "ZeroImageError"),
+    "errors": ("RegimeError", "ZeroImageError"),
     "arcs": ("SubAction", "sub_action"),
     "maps": (
         "CONTINUITY_TOL", "CONV_RADIUS", "DIV_RADIUS", "ORBIT_BUDGET", "EigenPair2",
         "NormalForm2D", "OrbitStatus", "OrbitVerdict", "PWLMap", "eig2", "eval_pwl",
         "orbit", "perturbed_map",
     ),
-    "polygons": (
-        "EPS_GEOM", "CertificateStatus", "Ga92Verdict", "StarPolygon",
-        "containment_protrusion", "delta_sequence", "ga92", "image_polygon",
-        "separated_from_gamma", "union_star", "write_polygon_csv",
-    ),
+    "polygons": ("CertificateStatus", "Ga92Verdict", "ga92"),
     "report": ("AnalysisReport", "analyze"),
     "sphere": (
         "EPS_ANGLE", "GFixedPoint", "MeasureEstimate", "PeriodicOrbit", "RegimeReport",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .maps import NormalForm2D
-from .polygons import delta_sequence, ga92, write_polygon_csv
+from .polygons import ga92
 from .report import analyze
 from .sphere import (
     DEFAULT_BURN_IN,
@@ -191,14 +191,6 @@ def _cmd_ga92(args) -> int:
     return 0
 
 
-def _cmd_polygons(args) -> int:
-    params = _params(args)
-    polys = delta_sequence(params, args.n)
-    write_polygon_csv(polys, args.out)
-    print(f"wrote {args.out} ({len(polys)} generations)")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     spec = GridSpec(
         tau_L_range=(args.tl_min, args.tl_max),
@@ -269,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ga92", help="sub-action asymptotic stability certificate")
     _add_params(sp)
     sp.set_defaults(func=_cmd_ga92)
-
-    sp = sub.add_parser("polygons", help="dump iterated triangle images as CSV")
-    _add_params(sp)
-    sp.add_argument("--n", type=int, required=True, help="number of generations")
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.set_defaults(func=_cmd_polygons)
 
     sp = sub.add_parser("sweep", help="parameter-plane sweep over (tau_L, tau_R)")
     sp.add_argument("--mode", choices=("measure", "asymptotic"), required=True)

@@ -15,10 +15,3 @@ class ZeroImageError(ArithmeticError):
 
     The radial/angular decomposition of the map is undefined at such points.
     """
-
-
-class DegenerateImageError(ArithmeticError):
-    """A polygon piece with positive area collapsed to (numerically) zero area.
-
-    Signals a near-singular matrix acting on one side of the switching line.
-    """

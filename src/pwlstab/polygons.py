@@ -1,4 +1,4 @@
-"""Star-shaped polygon geometry, and the stability certificate ``ga92``.
+"""The stability certificate ``ga92``, and star-shaped polygon geometry.
 
 ``ga92`` builds no geometry: it combines the witness scan
 (``sphere.periodic_orbits_G``) with a sub-action of the arc graph of the
@@ -6,10 +6,12 @@ circle map (``arcs.sub_action``), which bounds |g^t x| by C exp(-eta t)
 |x|, and one inequality per arc shows that the star region with radius
 exp(-(v_i - min v)) on arc i maps into itself; where the arc graph has a
 cycle of positive weight instead, it tests the cycle's word of sides for an
-expanding periodic orbit with the scan's own test.  The geometry here serves
-the ``polygons`` command, where ``delta_sequence`` grows the seed triangle
-(0,0), (1,0), (0,1) by repeated images, and the tests, which map that
-region as a check independent of the arc inequality.  Positive
+expanding periodic orbit with the scan's own test.
+
+The geometry (``StarPolygon``, ``image_polygon``, ``union_star``,
+``containment_protrusion``, ``separated_from_gamma``) is not among the
+package's public names and no verdict uses it.  The tests map a certified
+region with it, as a check independent of the arc inequality.  Positive
 homogeneity keeps every region star-shaped about the origin, so regions
 are stored as a radial boundary chain r(phi) over an angular support
 inside [0, pi], and union / containment / separation all reduce to
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateImageError, RegimeError
+from .errors import RegimeError
 from .arcs import sub_action
 from .maps import HALF_PI, NormalForm2D, PWLMap
 from .sphere import (
@@ -49,6 +51,13 @@ WITNESS_P_MAX = 8
 # Longest primitive word read off a positive cycle of the arc graph and
 # tested as a witness; longer words lose the orbit to rounding.
 CYCLE_WORD_MAX = 64
+
+
+class DegenerateImageError(ArithmeticError):
+    """A polygon piece with positive area collapsed to (numerically) zero area.
+
+    Signals a near-singular matrix acting on one side of the switching line.
+    """
 
 
 def _cross(ax: float, ay: float, bx: float, by: float) -> float:
@@ -101,11 +110,6 @@ class StarPolygon:
         )
         pts.flags.writeable = False
         return pts
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """Full polygon vertex loop: origin anchor followed by the chain."""
-        return np.vstack(([0.0, 0.0], self.points))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -536,22 +540,3 @@ def _best_witness(orbits: list[PeriodicOrbit]) -> PeriodicOrbit | None:
     """The orbit with the largest lambda above LAMBDA_POS_TOL (the first on a tie), or None."""
     witnesses = [o for o in orbits if o.lambda_value > LAMBDA_POS_TOL]
     return max(witnesses, key=lambda o: o.lambda_value, default=None)
-
-
-def delta_sequence(params: NormalForm2D | PWLMap, n: int) -> list[StarPolygon]:
-    """[seed, image, image^2, ..., image^n] of the unit triangle."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = [StarPolygon.unit_triangle()]
-    for _ in range(n):
-        out.append(image_polygon(params, out[-1]))
-    return out
-
-
-def write_polygon_csv(polys: list[StarPolygon], path) -> None:
-    """Dump polygon vertex loops as CSV rows (generation, vertex_index, x, y)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("generation,vertex_index,x,y\n")
-        for g, poly in enumerate(polys):
-            for i, (x, y) in enumerate(poly.vertices):
-                fh.write(f"{g},{i},{float(x)!r},{float(y)!r}\n")

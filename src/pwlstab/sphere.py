@@ -51,7 +51,7 @@ def sphere_eval(m: PWLMap, z: np.ndarray) -> SphereMapEval:
         raise ValueError("sphere_eval expects a unit vector")
     w = eval_pwl(m, z)
     d = math.hypot(*w)
-    if d < 1e-12:
+    if d < KERNEL_TOL:
         raise ZeroImageError("unit vector maps (numerically) to the origin")
     return SphereMapEval(d, w / d)
 

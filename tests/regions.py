@@ -1,4 +1,5 @@
-"""The star region behind a ``Stable`` verdict, rebuilt for re-checks.
+"""Star regions for re-checks: the one behind a ``Stable`` verdict, and the
+unit triangle's images.
 
 ``ga92`` keeps no polygon: the tests that map a certified region with the
 polygon layer rebuild it from the sub-action here.  The oracle constants in
@@ -10,7 +11,8 @@ import re
 
 import numpy as np
 
-from pwlstab import StarPolygon, sub_action
+from pwlstab import sub_action
+from pwlstab.polygons import StarPolygon, image_polygon
 
 
 def certified_region(params, verdict) -> StarPolygon:
@@ -28,3 +30,11 @@ def certified_region(params, verdict) -> StarPolygon:
     rad = np.repeat(rho, 2)
     keep = np.append(True, (np.diff(ang) != 0.0) | (np.diff(rad) != 0.0))
     return StarPolygon(ang[keep], rad[keep])
+
+
+def generations(params, n: int) -> list[StarPolygon]:
+    """The unit triangle (0,0), (1,0), (0,1) and its first n images."""
+    out = [StarPolygon.unit_triangle()]
+    for _ in range(n):
+        out.append(image_polygon(params, out[-1]))
+    return out

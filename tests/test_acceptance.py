@@ -13,25 +13,27 @@ import time
 import numpy as np
 
 from pwlstab import (
-    EPS_GEOM,
     CertificateStatus,
     GridSpec,
     NormalForm2D,
     OrbitStatus,
     PWLMap,
-    StarPolygon,
     birkhoff_lambda,
     circle_G,
-    containment_protrusion,
     eig2,
     eval_pwl,
     ga92,
-    image_polygon,
     orbit,
     periodic_orbits_G,
     perturbed_map,
     sweep_asymptotic,
     sweep_measure,
+)
+from pwlstab.polygons import (
+    EPS_GEOM,
+    StarPolygon,
+    containment_protrusion,
+    image_polygon,
     union_star,
 )
 

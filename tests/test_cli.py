@@ -1,5 +1,6 @@
 """End-to-end command-line checks through fresh interpreter processes."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -290,14 +291,14 @@ class TestFileOutputs:
         assert lines[0] == "bin_lo,bin_hi,density"
         assert len(lines) == 11
 
-    def test_polygons_writes_generations(self, tmp_path):
+    def test_polygons_command_writes_nothing(self, tmp_path):
+        # the command that grew the unit triangle is retired
         path = tmp_path / "p.csv"
-        run_cli("polygons", *STABLE_ARGS, "--n", "3", "--out", str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "generation,vertex_index,x,y"
-        assert lines[1] == "0,0,0.0,0.0"
-        gens = {int(line.split(",")[0]) for line in lines[1:]}
-        assert gens == {0, 1, 2, 3}
+        out = run_cli("polygons", *STABLE_ARGS, "--n", "3", "--out", str(path), check=False)
+        assert out.returncode == 2
+        assert "invalid choice" in out.stderr
+        assert out.stdout == ""
+        assert not any(tmp_path.iterdir())
 
 
 class TestSweepCommand:
@@ -371,6 +372,14 @@ class TestSweepCommand:
 
 
 class TestReadme:
+    def test_usage_names_every_command(self):
+        section = README.read_text().split("## Command line\n", 1)[1]
+        usage = section.split("```\n", 2)[1]
+        named = {line.split()[1] for line in usage.splitlines() if line.startswith("pwlstab ")}
+        actions = cli.build_parser()._actions
+        sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+        assert named == set(sub.choices)
+
     def test_examples_print_what_they_show(self):
         examples = readme_examples()
         assert examples

@@ -11,21 +11,22 @@ import numpy as np
 import pytest
 
 from pwlstab import (
-    EPS_GEOM,
     CertificateStatus,
     NormalForm2D,
     RegimeError,
-    StarPolygon,
     arcs,
-    containment_protrusion,
-    delta_sequence,
     ga92,
-    image_polygon,
     periodic_orbits_G,
     polygons,
     rho_sampled,
     sphere,
     sub_action,
+)
+from pwlstab.polygons import (
+    EPS_GEOM,
+    StarPolygon,
+    containment_protrusion,
+    image_polygon,
     union_star,
 )
 
@@ -37,7 +38,7 @@ from conftest import (
     PT_STABLE,
     PT_UNSTABLE,
 )
-from regions import certified_region
+from regions import certified_region, generations
 
 # A cell of the 16x8 acceptance plane that ga92 leaves NotDecided: its arc
 # graph ends at a positive cycle at n = 8192 whose word is too long to test.
@@ -188,7 +189,7 @@ class TestVerdicts:
         params = NormalForm2D(*pt)
         v = ga92(params)
         assert v.status in (CertificateStatus.STABLE, CertificateStatus.NOT_DECIDED)
-        delta_sequence(params, 30)
+        generations(params, 30)
         if v.status is CertificateStatus.STABLE:
             est = rho_sampled(params, n_samples=n_samples, orbit_budget=orbit_budget, seed=0)
             assert est.rho_hat == 1.0
@@ -395,7 +396,7 @@ class TestVerdictInvariants:
         # line is ill-conditioned at their own ends: reading it there instead
         # of the end point's radius lost 7.2e-7 and 5.3e-2 of radius (the
         # protrusions now read 3.6e-9 and 2.0e-6)
-        gens = delta_sequence(NormalForm2D(*pt), m)
+        gens = generations(NormalForm2D(*pt), m)
         omega = functools.reduce(union_star, gens)
         assert max(containment_protrusion(omega, g) for g in gens) <= bound
 
@@ -423,31 +424,27 @@ class TestVerdictInvariants:
 
 class TestDeltaSequence:
     def test_zeroth_is_seed_triangle(self):
-        ds = delta_sequence(NormalForm2D(*PT_STABLE), 0)
+        ds = generations(NormalForm2D(*PT_STABLE), 0)
         assert len(ds) == 1
         tri = StarPolygon.unit_triangle()
         assert np.allclose(ds[0].angles, tri.angles)
         assert np.allclose(ds[0].radii, tri.radii)
 
     def test_first_image_at_fold_point(self):
-        ds = delta_sequence(NormalForm2D(2.5, 1.4, -0.5, -1.2), 1)
+        ds = generations(NormalForm2D(2.5, 1.4, -0.5, -1.2), 1)
         assert len(ds) == 2
         assert np.allclose(ds[1].angles, [0.0, FOLD_THETA_LAMBDA], atol=1e-12)
         assert np.allclose(ds[1].radii, [1.0, 1.3], atol=1e-12)
 
     def test_vertex_growth_bounded(self):
         # one switching line adds at most two cut vertices per step
-        ds = delta_sequence(NormalForm2D(*PT_STABLE), 8)
+        ds = generations(NormalForm2D(*PT_STABLE), 8)
         lens = [len(d.angles) for d in ds]
         assert all(b - a <= 2 for a, b in zip(lens, lens[1:]))
 
     def test_deep_iterates_of_contracting_point(self):
         # both |det| are 0.2: after many steps the images are tiny but
         # not degenerate
-        ds = delta_sequence(NormalForm2D(*PT_CONTRACT), 40)
+        ds = generations(NormalForm2D(*PT_CONTRACT), 40)
         assert len(ds) == 41
         assert 0.0 < ds[-1].area() < 1e-20
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            delta_sequence(NormalForm2D(*PT_STABLE), -1)

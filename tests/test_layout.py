@@ -1,6 +1,7 @@
 """The module layout: ``arcs`` sits low in the import order, so that the
 circle map and the certificate can both build on the arc graph, and the
-certificate's verdict carries no geometry.  The package loads each layer on
+certificate's verdict carries no geometry: the layers that compute verdicts
+take only the certificate from ``polygons``.  The package loads each layer on
 first use, so a fresh process pays only for the layers it touches."""
 
 import ast
@@ -20,17 +21,19 @@ LAYERS = sorted(p.stem for p in (SRC / "pwlstab").glob("*.py") if p.stem != "__i
 # the public names, in the order of the package's former hand-written __all__
 PUBLIC = [
     "AnalysisReport", "CONTINUITY_TOL", "CONV_RADIUS", "CertificateStatus", "DIV_RADIUS",
-    "DegenerateImageError", "EPS_ANGLE", "EPS_GEOM", "EigenPair2", "GFixedPoint",
-    "Ga92Verdict", "GridMode", "GridResult", "GridSpec", "MeasureEstimate", "NormalForm2D",
-    "ORBIT_BUDGET", "OrbitStatus", "OrbitVerdict", "PWLMap", "PeriodicOrbit", "RegimeError",
-    "RegimeReport", "RhoEstimate", "SphereMapEval", "StarPolygon", "SubAction",
-    "ZeroImageError", "analyze", "angle_of", "birkhoff_lambda", "circle_D", "circle_G",
-    "classify_regimes", "containment_protrusion", "delta_sequence", "eig2", "eval_pwl",
-    "g_fixed_points", "ga92", "histogram_G", "image_polygon", "mix_seed", "orbit",
-    "periodic_orbits_G", "perturbed_map", "rho_closed_form", "rho_sampled",
-    "separated_from_gamma", "sphere_eval", "sub_action", "sweep_asymptotic",
-    "sweep_measure", "union_star", "write_grid_csv", "write_grid_pgm", "write_polygon_csv",
+    "EPS_ANGLE", "EigenPair2", "GFixedPoint", "Ga92Verdict", "GridMode", "GridResult",
+    "GridSpec", "MeasureEstimate", "NormalForm2D", "ORBIT_BUDGET", "OrbitStatus",
+    "OrbitVerdict", "PWLMap", "PeriodicOrbit", "RegimeError", "RegimeReport", "RhoEstimate",
+    "SphereMapEval", "SubAction", "ZeroImageError", "analyze", "angle_of", "birkhoff_lambda",
+    "circle_D", "circle_G", "classify_regimes", "eig2", "eval_pwl", "g_fixed_points", "ga92",
+    "histogram_G", "mix_seed", "orbit", "periodic_orbits_G", "perturbed_map",
+    "rho_closed_form", "rho_sampled", "sphere_eval", "sub_action", "sweep_asymptotic",
+    "sweep_measure", "write_grid_csv", "write_grid_pgm",
 ]
+# the layers that compute the verdicts, and all that they may take from polygons,
+# whose star-polygon geometry is the tests' independent re-check of a verdict
+PRODUCT = ("maps", "arcs", "sphere", "sweep", "report", "cli")
+CERTIFICATE = {"ga92", "Ga92Verdict", "CertificateStatus", "LAMBDA_POS_TOL", "WITNESS_P_MAX"}
 
 
 def _relative_imports(module) -> list[tuple[str, list[str]]]:
@@ -64,6 +67,16 @@ def test_arcs_imports_only_maps_and_errors():
 def test_polygons_takes_only_sub_action_from_arcs():
     taken = [names for name, names in _relative_imports(polygons) if name == "arcs"]
     assert taken == [["sub_action"]]
+
+
+def test_product_takes_only_the_certificate_from_polygons():
+    for layer in PRODUCT:
+        module = importlib.import_module(f"pwlstab.{layer}")
+        imports = _relative_imports(module)
+        taken = {n for name, names in imports if name == "polygons" for n in names}
+        assert taken <= CERTIFICATE, (layer, taken - CERTIFICATE)
+        assert not any(name is None and "polygons" in names for name, names in imports), layer
+        assert "pwlstab.polygons" not in _absolute_imports(module), layer
 
 
 def test_sphere_holds_no_arc_graph():

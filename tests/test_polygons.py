@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from pwlstab import (
+from pwlstab import NormalForm2D, PWLMap, eval_pwl
+from pwlstab.polygons import (
     EPS_GEOM,
     DegenerateImageError,
-    NormalForm2D,
-    PWLMap,
     StarPolygon,
     containment_protrusion,
-    eval_pwl,
     image_polygon,
     separated_from_gamma,
     union_star,

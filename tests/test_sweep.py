@@ -10,7 +10,6 @@ import pytest
 from pwlstab import sweep
 from pwlstab import (
     CertificateStatus,
-    DegenerateImageError,
     GridMode,
     GridResult,
     GridSpec,
@@ -24,7 +23,7 @@ from pwlstab import (
     write_grid_csv,
     write_grid_pgm,
 )
-from pwlstab.polygons import LAMBDA_POS_TOL, WITNESS_P_MAX
+from pwlstab.polygons import LAMBDA_POS_TOL, WITNESS_P_MAX, DegenerateImageError
 
 
 def spec1(tau_L, tau_R, delta_L=1.4, delta_R=-1.2) -> GridSpec:
